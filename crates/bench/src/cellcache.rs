@@ -7,11 +7,11 @@
 //! (schema versions, generator id, cell index, full simulation config),
 //! and a later run with the same key can skip the simulation entirely
 //! (`--resume`). The key deliberately excludes everything the
-//! determinism view excludes — host-perf, wall-clock, `--jobs`,
-//! `--engine-threads` — so a resumed sweep emits **byte-identical**
-//! manifests and attribution artifacts; only the `hostPerf` section
-//! (already stripped by `validate_json --det-diff`) records how many
-//! cells came from the cache.
+//! determinism view excludes — host-perf, wall-clock, `--jobs` — so a
+//! resumed sweep emits **byte-identical** manifests and attribution
+//! artifacts; only the `hostPerf` section (already stripped by
+//! `validate_json --det-diff`) records how many cells came from the
+//! cache.
 //!
 //! Entries live under `<dir>/.cellcache/<key>.json` (schema
 //! `gvf.cellcache` v1) next to the `--json-out` artifact by default.
@@ -79,10 +79,9 @@ fn opt_u64(v: Option<u64>) -> Json {
 
 /// The deterministic config rendering hashed into a cell key (and
 /// recorded verbatim in failure entries as the *config fingerprint*).
-/// Every simulation-relevant knob appears; host-side knobs
-/// (`engine_threads`, `--jobs`, `fast_forward`) and the observability
-/// probes that bypass the cache (timeline, metrics) deliberately do
-/// not.
+/// Every simulation-relevant knob appears; host-side knobs (`--jobs`,
+/// `fast_forward`) and the observability probes that bypass the cache
+/// (timeline, metrics) deliberately do not.
 /// Attribution and the cycle audit *are* keyed: they change what a
 /// [`RunResult`] carries.
 pub fn config_fingerprint_json(cfg: &WorkloadConfig) -> Json {
@@ -975,13 +974,6 @@ mod tests {
         other.seed ^= 1;
         assert_ne!(base, cell_key("fig6", 0, &other), "config keyed");
         // Host-side knobs are excluded, like the determinism view.
-        let mut threads = cfg.clone();
-        threads.engine_threads = 8;
-        assert_eq!(
-            base,
-            cell_key("fig6", 0, &threads),
-            "engine_threads excluded"
-        );
         let mut no_ff = cfg.clone();
         no_ff.fast_forward = false;
         assert_eq!(base, cell_key("fig6", 0, &no_ff), "fast_forward excluded");

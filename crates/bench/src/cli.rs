@@ -9,10 +9,10 @@ pub const DEFAULT_TRACE_EVENTS_PER_SM: usize = 4096;
 pub const DEFAULT_METRICS_BUCKET_CYCLES: u64 = 256;
 
 /// Common harness options: `--scale N`, `--iters N`, `--seed N`,
-/// `--jobs N`, `--engine-threads N`, `--smoke`, `--quiet`, plus the
-/// observability outputs `--json-out PATH`, `--trace-out PATH`,
-/// `--metrics-out PATH`, `--attrib-out PATH`, `--profile-out PATH`,
-/// `--audit-out PATH`, `--events-out PATH`.
+/// `--jobs N`, `--smoke`, `--quiet`, plus the observability outputs
+/// `--json-out PATH`, `--trace-out PATH`, `--metrics-out PATH`,
+/// `--attrib-out PATH`, `--profile-out PATH`, `--audit-out PATH`,
+/// `--events-out PATH`.
 #[derive(Clone, Debug)]
 pub struct HarnessOpts {
     /// Workload configuration assembled from the flags.
@@ -45,8 +45,7 @@ pub struct HarnessOpts {
     /// whole process. Wall-clock data: excluded from determinism diffs.
     pub profile_out: Option<String>,
     /// Write the deterministic cycle-audit report (`gvf.cycleaudit` v1)
-    /// here (`--audit-out`). Byte-identical for any `--jobs` /
-    /// `--engine-threads` value.
+    /// here (`--audit-out`). Byte-identical for any `--jobs` value.
     pub audit_out: Option<String>,
     /// Read completed cells back from the content-addressed cell cache
     /// (`--resume`) instead of re-simulating them. Resumed sweeps emit
@@ -140,16 +139,6 @@ impl HarnessOpts {
                     jobs = int(i, "--jobs (0 = all cores)");
                     i += 2;
                 }
-                "--engine-threads" => {
-                    cfg.engine_threads = int(i, "--engine-threads (0 = auto)");
-                    i += 2;
-                }
-                "--no-fast-forward" => {
-                    // Plain epoch ticking, for the CI A/B determinism
-                    // check against the fast-forwarded default.
-                    cfg.fast_forward = false;
-                    i += 1;
-                }
                 "--smoke" => {
                     smoke = true;
                     i += 1;
@@ -218,9 +207,8 @@ impl HarnessOpts {
                 "--help" | "-h" => {
                     println!(
                         "options: --scale N (default 8)  --iters N  --seed N  \
-                         --jobs N (0 = all cores)  --engine-threads N (0 = auto)  \
-                         --no-fast-forward (plain epoch ticking)  --smoke  \
-                         --quiet  --json-out PATH  --trace-out PATH  --metrics-out PATH  \
+                         --jobs N (0 = all cores)  --smoke  --quiet  \
+                         --json-out PATH  --trace-out PATH  --metrics-out PATH  \
                          --attrib-out PATH  --profile-out PATH  --audit-out PATH  \
                          --resume  --no-cache  --cache-dir DIR  --events-out PATH  \
                          --stall-factor X (default 8)  --fail-cell N (panic injection)  \
@@ -235,19 +223,15 @@ impl HarnessOpts {
             // Keep the smoke config derived from tiny() in one place so
             // CI and local `--smoke` runs agree.
             let seed = cfg.seed;
-            let engine_threads = cfg.engine_threads;
-            let fast_forward = cfg.fast_forward;
             cfg = WorkloadConfig::tiny();
             cfg.seed = seed;
-            cfg.engine_threads = engine_threads;
-            cfg.fast_forward = fast_forward;
         }
         if resume && no_cache {
             usage_error("--resume and --no-cache are mutually exclusive");
         }
         if profile_out.is_some() {
             // Process-wide: spans record from the first kernel on, and
-            // every SimPool worker / engine thread participates.
+            // every SimPool worker participates.
             gvf_sim::spans::enable();
         }
         if let Some(path) = &events_out {

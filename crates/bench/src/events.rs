@@ -193,22 +193,27 @@ pub fn init(path: &str, run: &RunInfo) {
         let mut inner = inner().lock().expect("events mutex");
         inner.sink = Some(file);
         inner.stall_factor = run.stall_factor;
-        let e = Json::obj()
-            .with("schema", Json::str(EVENTS_SCHEMA))
-            .with("version", Json::num_u64(EVENTS_SCHEMA_VERSION as u64))
-            .with("ev", Json::str("runStart"))
-            .with("tMs", Json::num_u64(now_ms()))
-            .with("bin", Json::str(&run.bin))
-            .with("configFingerprint", Json::str(&run.fingerprint))
-            .with("jobs", Json::num_u64(run.jobs as u64))
-            .with("smoke", Json::Bool(run.smoke))
-            .with("stallFactor", Json::Num(run.stall_factor));
+        let e = run_start_event(run, now_ms());
         dispatch(&mut inner, e, None);
     }
     std::thread::Builder::new()
         .name("events-watchdog".into())
         .spawn(watchdog_loop)
         .expect("spawn events watchdog");
+}
+
+/// The `runStart` header that opens every stream.
+fn run_start_event(run: &RunInfo, t_ms: u64) -> Json {
+    Json::obj()
+        .with("schema", Json::str(EVENTS_SCHEMA))
+        .with("version", Json::num_u64(EVENTS_SCHEMA_VERSION as u64))
+        .with("ev", Json::str("runStart"))
+        .with("tMs", Json::num_u64(t_ms))
+        .with("bin", Json::str(&run.bin))
+        .with("configFingerprint", Json::str(&run.fingerprint))
+        .with("jobs", Json::num_u64(run.jobs as u64))
+        .with("smoke", Json::Bool(run.smoke))
+        .with("stallFactor", Json::Num(run.stall_factor))
 }
 
 /// Whether a JSONL sink is installed (used by tests and the watchdog).
@@ -377,12 +382,16 @@ pub fn sweep_end(label: &str) {
 /// path and the regular emission path cannot double-close.
 pub fn run_end(status: &str) {
     let mut inner = inner().lock().expect("events mutex");
+    end_run(&mut inner, status, now_ms());
+}
+
+fn end_run(inner: &mut Inner, status: &str, t: u64) {
     if inner.run_ended {
         return;
     }
     inner.run_ended = true;
-    let e = event("runEnd", now_ms()).with("status", Json::str(status));
-    dispatch(&mut inner, e, None);
+    let e = event("runEnd", t).with("status", Json::str(status));
+    dispatch(inner, e, None);
 }
 
 /// The flight-recorder snapshot taken when `(sweep, cell)` failed: the
@@ -452,9 +461,18 @@ fn watchdog_loop() {
 }
 
 fn watchdog_tick() {
-    let t = now_ms();
     let mut guard = inner().lock().expect("events mutex");
-    let inner = &mut *guard;
+    // The clock is read under the lock, so the tick is ordered after
+    // every event already dispatched — `runEnd` included.
+    watchdog_tick_at(&mut guard, now_ms());
+}
+
+/// One watchdog pass at time `t`. Emits nothing once the run has
+/// ended: `runEnd` is the stream's last event.
+fn watchdog_tick_at(inner: &mut Inner, t: u64) {
+    if inner.run_ended {
+        return;
+    }
     // Periodic resource sample: RSS + CPU from /proc, span-registry
     // deltas since the previous sample.
     if t.saturating_sub(inner.last_resource_ms) >= RESOURCE_SAMPLE_MS {
@@ -1174,5 +1192,37 @@ mod tests {
         assert_eq!(events.len(), 2);
         let bad = "{\"a\":1}\n{\"torn\n{\"b\":2}\n";
         assert!(parse_stream(bad).is_err());
+    }
+
+    #[test]
+    fn watchdog_emits_nothing_after_run_end() {
+        let path =
+            std::env::temp_dir().join(format!("gvf-events-run-end-{}.jsonl", std::process::id()));
+        let mut inner = Inner {
+            sink: Some(std::fs::File::create(&path).expect("create stream")),
+            stall_factor: DEFAULT_STALL_FACTOR,
+            ..Inner::default()
+        };
+        let run = RunInfo {
+            bin: "test".into(),
+            fingerprint: "0".into(),
+            jobs: 1,
+            smoke: true,
+            stall_factor: DEFAULT_STALL_FACTOR,
+        };
+        dispatch(&mut inner, run_start_event(&run, 0), None);
+        end_run(&mut inner, "ok", 10);
+        // A resource sample is overdue here: only `run_ended` stops it.
+        watchdog_tick_at(&mut inner, 10 + RESOURCE_SAMPLE_MS);
+        drop(inner);
+        let text = std::fs::read_to_string(&path).expect("read stream");
+        std::fs::remove_file(&path).ok();
+        let stream = parse_stream(&text).expect("stream parses");
+        validate_stream(&stream).expect("stream validates");
+        let last = stream
+            .last()
+            .and_then(|e| e.get("ev"))
+            .and_then(Json::as_str);
+        assert_eq!(last, Some("runEnd"));
     }
 }

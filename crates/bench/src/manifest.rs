@@ -8,13 +8,12 @@
 //!   grid cell with its raw [`Stats`] counters plus derived metrics;
 //!   sweeps with dead cells instead record `"status": "failed"` entries
 //!   per cell (see [`emit_failures`]).
-//!   The config section deliberately excludes host-side knobs
-//!   (`--jobs`, `--engine-threads`), and the only wall-clock data is
-//!   the `hostPerf` section ([`crate::hostperf`], schema
-//!   `gvf.hostperf` v1) — which the determinism diff **strips** via
-//!   [`strip_host_perf`], so a serial and a parallel run of the same
-//!   grid still compare byte-identical (`validate_json --det-diff`,
-//!   the CI gate).
+//!   The config section deliberately excludes the host-side `--jobs`
+//!   knob, and the only wall-clock data is the `hostPerf` section
+//!   ([`crate::hostperf`], schema `gvf.hostperf` v1) — which the
+//!   determinism diff **strips** via [`strip_host_perf`], so a serial
+//!   and a parallel run of the same grid still compare byte-identical
+//!   (`validate_json --det-diff`, the CI gate).
 //! - `--trace-out` — a Chrome trace-event / Perfetto timeline
 //!   ([`gvf_sim::timeline`]) recorded from the grid's first cell.
 //! - `--metrics-out` — the per-epoch metrics time series

@@ -24,7 +24,7 @@
 //!
 //! Everything is an exact integer counter or a [`LogHist`], so per-SM
 //! reports merge associatively and the merged whole-GPU report is
-//! byte-identical for any host thread count — attribution inherits the
+//! byte-identical for any `--jobs` — attribution inherits the
 //! engine's determinism contract just like the other probes.
 
 use crate::cache::SectoredCache;
@@ -212,7 +212,7 @@ impl PcLoadStats {
 /// The merged attribution evidence of a run (or of one SM before
 /// merging). All fields are exact integers, so [`merge`](Self::merge)
 /// is associative and commutative and the whole-GPU report is
-/// independent of host thread count.
+/// independent of merge order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AttribReport {
     /// Per-`(trace position, tag index)` load attribution, in

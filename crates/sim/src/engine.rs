@@ -31,7 +31,7 @@
 //!    caches and MSHR file, and *queues* any traffic that must leave the
 //!    SM (L1 miss sectors, stores) instead of touching the shared memory
 //!    system. Phase A reads and writes only that SM's state, so SMs can
-//!    run in any order — or concurrently.
+//!    run in any order.
 //! 2. **Phase B (shared, canonical order):** the [`MemSystem`] (L2
 //!    slices + DRAM channels) services the queued requests in ascending
 //!    `(cycle, sm_id, issue order within the SM)` order, computes each
@@ -39,11 +39,13 @@
 //!    scoreboard.
 //!
 //! Because phase A is SM-local and phase B consumes requests in a fixed
-//! canonical order, the simulation is **bit-identical for any host
-//! thread count** — [`Gpu::execute_serial`] is the reference oracle and
-//! the `parallel`-feature thread pool must match it exactly. All future
-//! performance work must preserve this contract (see DESIGN.md,
-//! "Determinism contract").
+//! canonical order, a kernel's results depend only on the kernel and
+//! the configuration — never on which host thread runs it or what runs
+//! beside it, so results are bit-identical for any `--jobs` (see
+//! DESIGN.md, "Determinism contract"). Event-driven fast-forward
+//! ([`Gpu::with_fast_forward`]) skips quiet epochs without changing a
+//! single counter or probe event; plain epoch ticking is the reference
+//! that tests compare it against.
 
 use crate::cache::SectoredCache;
 use crate::config::GpuConfig;
@@ -55,13 +57,12 @@ use crate::trace::{KernelTrace, WarpTrace};
 /// The simulated GPU. Construct once, [`execute`](Gpu::execute) many
 /// kernels; caches are cold at each kernel boundary.
 ///
-/// Host-side parallelism ([`with_threads`](Gpu::with_threads)) changes
-/// wall-clock time only — simulated results are bit-identical for any
-/// thread count (see the module docs for the determinism contract).
+/// Phase A runs SM-by-SM in ascending order on the calling thread;
+/// host parallelism lives one level up, in [`SimPool`](crate::SimPool),
+/// which runs independent kernels side by side.
 #[derive(Clone, Debug)]
 pub struct Gpu {
     cfg: GpuConfig,
-    threads: usize,
     fast_forward: bool,
 }
 
@@ -164,7 +165,7 @@ struct SmState<P: Probe> {
     sched_next: Vec<u64>,
     /// Fast-forward cache: after a *quiet* epoch (no scheduler chose a
     /// warp, nothing retiring) the SM provably repeats that epoch's
-    /// outcome verbatim until `ff_until`, so the execute loops replay
+    /// outcome verbatim until `ff_until`, so the execute loop replays
     /// `{live: ff_live, issued: false, min_next: ff_until}` without
     /// running the schedulers. `0` means "must run".
     ff_until: u64,
@@ -294,12 +295,10 @@ struct EpochOut {
 }
 
 impl Gpu {
-    /// Creates a GPU with the given configuration (serial host
-    /// execution).
+    /// Creates a GPU with the given configuration.
     pub fn new(cfg: GpuConfig) -> Self {
         Gpu {
             cfg,
-            threads: 1,
             fast_forward: true,
         }
     }
@@ -309,30 +308,13 @@ impl Gpu {
         Gpu::new(GpuConfig::v100())
     }
 
-    /// Sets the host thread count used for the per-SM phase of
-    /// [`execute`](Gpu::execute): `1` is serial, `0` picks the machine's
-    /// available parallelism, anything else is used as-is (clamped to
-    /// the SM count). Simulated results are identical regardless.
-    ///
-    /// Without the `parallel` crate feature the engine always runs
-    /// serially and this is a wall-clock no-op.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The configured host thread count (see [`with_threads`](Gpu::with_threads)).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Enables or disables per-SM event-driven fast-forward (on by
     /// default). When an SM's epoch is *quiet* — no scheduler chose a
     /// warp, nothing retiring — the engine replays the cached epoch
     /// outcome until the SM's earliest wake-up instead of re-running
     /// its schedulers. Simulated results, probe streams and artifacts
-    /// are bit-identical either way; the toggle exists so CI can A/B
-    /// the fast-forward path against plain epoch ticking.
+    /// are bit-identical either way; turning it off gives the plain
+    /// epoch-ticking reference that tests compare fast-forward against.
     pub fn with_fast_forward(mut self, on: bool) -> Self {
         self.fast_forward = on;
         self
@@ -349,56 +331,19 @@ impl Gpu {
         &self.cfg
     }
 
-    fn effective_threads(&self) -> usize {
-        let requested = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        requested.clamp(1, self.cfg.num_sms as usize)
-    }
-
     /// Replays `kernel` through the timing model and returns the
-    /// counters, using the configured host thread count. Runs with
-    /// [`NopProbe`], i.e. the zero-overhead un-instrumented path.
+    /// counters. Runs with [`NopProbe`], i.e. the zero-overhead
+    /// un-instrumented path.
     pub fn execute(&self, kernel: &KernelTrace) -> Stats {
         self.execute_probed(kernel, |_| NopProbe).0
     }
 
     /// Like [`execute`](Gpu::execute), but instrumented: `mk` builds
-    /// one [`Probe`] per SM (called with the SM id, on the calling
-    /// thread, in ascending order), and the probes are returned in SM
-    /// order alongside the counters. Probes observe without feeding
-    /// back into timing, so the returned [`Stats`] are bit-identical to
-    /// an un-probed run — and, per the determinism contract, identical
-    /// for any host thread count.
+    /// one [`Probe`] per SM (called with the SM id, in ascending
+    /// order), and the probes are returned in SM order alongside the
+    /// counters. Probes observe without feeding back into timing, so
+    /// the returned [`Stats`] are bit-identical to an un-probed run.
     pub fn execute_probed<P: Probe>(
-        &self,
-        kernel: &KernelTrace,
-        mk: impl FnMut(usize) -> P,
-    ) -> (Stats, Vec<P>) {
-        #[cfg(feature = "parallel")]
-        {
-            let threads = self.effective_threads();
-            if threads > 1 {
-                return self.execute_parallel_probed(kernel, threads, mk);
-            }
-        }
-        self.execute_serial_probed(kernel, mk)
-    }
-
-    /// The serial reference oracle: phase A runs SM-by-SM in ascending
-    /// order on the calling thread. [`execute`](Gpu::execute) with any
-    /// thread count must produce bit-identical [`Stats`].
-    pub fn execute_serial(&self, kernel: &KernelTrace) -> Stats {
-        self.execute_serial_probed(kernel, |_| NopProbe).0
-    }
-
-    /// [`execute_serial`](Gpu::execute_serial) with per-SM probes (see
-    /// [`execute_probed`](Gpu::execute_probed)).
-    pub fn execute_serial_probed<P: Probe>(
         &self,
         kernel: &KernelTrace,
         mut mk: impl FnMut(usize) -> P,
@@ -455,196 +400,6 @@ impl Gpu {
         }
         let _fin = crate::spans::span("engine.finish");
         let stats = finish(base, &mut sms, &memsys, &memstats, cycle);
-        let probes = sms.into_iter().map(|sm| sm.probe).collect();
-        (stats, probes)
-    }
-
-    /// Runs phase A on `threads` worker threads, phase B on the calling
-    /// thread. Exposed for determinism tests; [`execute`](Gpu::execute)
-    /// dispatches here when [`with_threads`](Gpu::with_threads) asks for
-    /// parallelism.
-    #[cfg(feature = "parallel")]
-    pub fn execute_parallel(&self, kernel: &KernelTrace, threads: usize) -> Stats {
-        self.execute_parallel_probed(kernel, threads, |_| NopProbe)
-            .0
-    }
-
-    /// [`execute_parallel`](Gpu::execute_parallel) with per-SM probes
-    /// (see [`execute_probed`](Gpu::execute_probed)). Probes are built
-    /// on the calling thread before the workers spawn; each lives in
-    /// its SM's state, so phase A fires hooks on whichever worker owns
-    /// the SM while phase B (main thread, canonical ascending-SM order)
-    /// appends to the requesting SM's probe — the recorded streams are
-    /// identical for any thread count.
-    #[cfg(feature = "parallel")]
-    pub fn execute_parallel_probed<P: Probe>(
-        &self,
-        kernel: &KernelTrace,
-        threads: usize,
-        mut mk: impl FnMut(usize) -> P,
-    ) -> (Stats, Vec<P>) {
-        use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-        use std::sync::Mutex;
-
-        let _ex = crate::spans::span("engine.execute");
-        let cfg = &self.cfg;
-        let threads = threads.clamp(1, cfg.num_sms as usize);
-        if threads == 1 {
-            // One worker would only add synchronization overhead.
-            return self.execute_serial_probed(kernel, mk);
-        }
-        let Some((sms, mut memsys, base)) = setup(cfg, kernel, &mut mk) else {
-            let probes = (0..cfg.num_sms as usize).map(mk).collect();
-            return (empty_stats(kernel), probes);
-        };
-        let mut memstats = Stats::new();
-
-        // Workers own disjoint SM index ranges; the mutexes are never
-        // contended (phases alternate through the epoch gate below) —
-        // they exist to let the main thread service phase B between the
-        // workers' phase-A turns.
-        let sms: Vec<Mutex<SmState<P>>> = sms.into_iter().map(Mutex::new).collect();
-        let num_sms = sms.len();
-
-        // Epoch gate: main publishes (cycle, epoch), workers run phase A
-        // for their SMs, fold their outputs into the shared accumulators
-        // and count themselves done; main waits for all of them, runs
-        // phase B, and opens the next epoch.
-        let epoch = AtomicU64::new(0);
-        let cycle_slot = AtomicU64::new(0);
-        let stop = AtomicBool::new(false);
-        let done = AtomicUsize::new(0);
-        let acc_live = AtomicBool::new(false);
-        let acc_issued = AtomicBool::new(false);
-        let acc_min_next = AtomicU64::new(u64::MAX);
-
-        let spin_wait = |current: &AtomicU64, seen: u64| {
-            let mut spins = 0u32;
-            loop {
-                let e = current.load(Ordering::Acquire);
-                if e != seen {
-                    return e;
-                }
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        };
-
-        let chunk = num_sms.div_ceil(threads);
-        let ff = self.fast_forward;
-        let mut final_cycle = 0u64;
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(num_sms);
-                let (sms, epoch, cycle_slot, stop, done) =
-                    (&sms, &epoch, &cycle_slot, &stop, &done);
-                let (acc_live, acc_issued, acc_min_next) = (&acc_live, &acc_issued, &acc_min_next);
-                scope.spawn(move || {
-                    let mut seen = 0u64;
-                    loop {
-                        seen = spin_wait(epoch, seen);
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let cycle = cycle_slot.load(Ordering::Relaxed);
-                        let mut live = false;
-                        let mut issued = false;
-                        let mut min_next = u64::MAX;
-                        {
-                            let _pa = crate::spans::span("engine.phase_a");
-                            for sm in sms.iter().take(hi).skip(lo) {
-                                let sm = &mut *sm.lock().expect("sm mutex");
-                                if ff && cycle < sm.ff_until {
-                                    // Same fast-forward replay as the
-                                    // serial loop — per-SM state, so
-                                    // thread placement cannot perturb
-                                    // it.
-                                    if !P::IS_NOP {
-                                        sm.probe.epoch(cycle);
-                                        sm.probe.epoch_end(cycle, sm.ff_live, false, sm.ff_until);
-                                    }
-                                    live |= sm.ff_live;
-                                    min_next = min_next.min(sm.ff_until);
-                                    continue;
-                                }
-                                let out = sm_epoch(cfg, kernel, sm, cycle);
-                                live |= out.live;
-                                issued |= out.issued;
-                                min_next = min_next.min(out.min_next);
-                            }
-                        }
-                        if live {
-                            acc_live.store(true, Ordering::Relaxed);
-                        }
-                        if issued {
-                            acc_issued.store(true, Ordering::Relaxed);
-                        }
-                        acc_min_next.fetch_min(min_next, Ordering::Relaxed);
-                        done.fetch_add(1, Ordering::Release);
-                    }
-                });
-            }
-
-            let mut cycle = 0u64;
-            let mut worker_epoch = 0u64;
-            let mut liveness = crate::progress::EpochBatcher::new();
-            loop {
-                liveness.tick();
-                acc_live.store(false, Ordering::Relaxed);
-                acc_issued.store(false, Ordering::Relaxed);
-                acc_min_next.store(u64::MAX, Ordering::Relaxed);
-                done.store(0, Ordering::Relaxed);
-                cycle_slot.store(cycle, Ordering::Relaxed);
-                worker_epoch += 1;
-                epoch.store(worker_epoch, Ordering::Release);
-
-                let mut spins = 0u32;
-                while done.load(Ordering::Acquire) != threads {
-                    spins += 1;
-                    if spins < 64 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-
-                // Phase B — canonical ascending-SM order, regardless of
-                // which worker simulated which SM.
-                {
-                    let _pb = crate::spans::span("engine.phase_b");
-                    for sm in sms.iter() {
-                        let sm = &mut *sm.lock().expect("sm mutex");
-                        if !sm.reqs.is_empty() {
-                            mem_phase_b(cfg, &mut memsys, &mut memstats, sm);
-                        }
-                    }
-                }
-
-                if !acc_live.load(Ordering::Relaxed) {
-                    break;
-                }
-                cycle = next_cycle(
-                    cycle,
-                    acc_issued.load(Ordering::Relaxed),
-                    acc_min_next.load(Ordering::Relaxed),
-                );
-            }
-            final_cycle = cycle;
-            stop.store(true, Ordering::Release);
-            epoch.store(worker_epoch + 1, Ordering::Release);
-        });
-
-        let mut sms: Vec<SmState<P>> = sms
-            .into_iter()
-            .map(|m| m.into_inner().expect("sm mutex"))
-            .collect();
-        let _fin = crate::spans::span("engine.finish");
-        let stats = finish(base, &mut sms, &memsys, &memstats, final_cycle);
         let probes = sms.into_iter().map(|sm| sm.probe).collect();
         (stats, probes)
     }
@@ -1295,7 +1050,7 @@ fn finish<P: Probe>(
     // Finalize any retirement left from the last epoch (its phase-B
     // completions have been posted) so drain times reach `ready_at`.
     // Also the single end-of-run point where probes may snapshot their
-    // SM's L1 — shared by the serial and parallel paths.
+    // SM's L1.
     for sm in sms.iter_mut() {
         sm_prologue(sm, cycle);
         sm.probe.cache_final(&sm.l1);
@@ -1739,40 +1494,11 @@ mod epoch_tests {
     }
 
     #[test]
-    fn serial_path_is_deterministic() {
+    fn execute_is_deterministic() {
         let k = mixed_kernel(40);
-        let a = Gpu::new(GpuConfig::small()).execute_serial(&k);
-        let b = Gpu::new(GpuConfig::small()).execute_serial(&k);
+        let a = Gpu::new(GpuConfig::small()).execute(&k);
+        let b = Gpu::new(GpuConfig::small()).execute(&k);
         assert_eq!(a, b);
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_matches_serial_bitwise() {
-        let k = mixed_kernel(64);
-        let gpu = Gpu::new(GpuConfig::small());
-        let serial = gpu.execute_serial(&k);
-        for threads in [2, 3, 8] {
-            let par = gpu.execute_parallel(&k, threads);
-            assert_eq!(par, serial, "threads={threads} diverged from serial oracle");
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_is_self_deterministic() {
-        let k = mixed_kernel(48);
-        let gpu = Gpu::new(GpuConfig::small()).with_threads(2);
-        assert_eq!(gpu.execute(&k), gpu.execute(&k));
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn with_threads_dispatches_to_identical_results() {
-        let k = mixed_kernel(32);
-        let serial = Gpu::new(GpuConfig::small()).execute(&k);
-        let auto = Gpu::new(GpuConfig::small()).with_threads(0).execute(&k);
-        assert_eq!(serial, auto);
     }
 
     #[test]
@@ -1780,8 +1506,8 @@ mod epoch_tests {
         use crate::probe::CountingProbe;
         let k = mixed_kernel(40);
         let gpu = Gpu::new(GpuConfig::small());
-        let plain = gpu.execute_serial(&k);
-        let (probed, probes) = gpu.execute_serial_probed(&k, |_| CountingProbe::new());
+        let plain = gpu.execute(&k);
+        let (probed, probes) = gpu.execute_probed(&k, |_| CountingProbe::new());
         assert_eq!(plain, probed, "probes must not perturb timing");
         // The hook stream reconstructs every event-derived counter; the
         // trace-derived trio is not event-covered, so copy it over.
@@ -1790,23 +1516,6 @@ mod epoch_tests {
         view.warps = plain.warps;
         view.vfunc_calls = plain.vfunc_calls;
         assert_eq!(view, plain, "aggregated probe view diverged from Stats");
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_probe_streams_match_serial() {
-        use crate::probe::CountingProbe;
-        let k = mixed_kernel(48);
-        let gpu = Gpu::new(GpuConfig::small());
-        let (s_stats, s_probes) = gpu.execute_serial_probed(&k, |_| CountingProbe::new());
-        for threads in [2, 5] {
-            let (p_stats, p_probes) =
-                gpu.execute_parallel_probed(&k, threads, |_| CountingProbe::new());
-            assert_eq!(s_stats, p_stats);
-            for (a, b) in s_probes.iter().zip(p_probes.iter()) {
-                assert_eq!(a.view(), b.view(), "per-SM probe view diverged");
-            }
-        }
     }
 
     #[test]
@@ -1834,8 +1543,8 @@ mod epoch_tests {
         let on = Gpu::new(GpuConfig::small());
         let off = Gpu::new(GpuConfig::small()).with_fast_forward(false);
         assert!(on.fast_forward() && !off.fast_forward());
-        let (s_on, p_on) = on.execute_serial_probed(&k, |_| CountingProbe::new());
-        let (s_off, p_off) = off.execute_serial_probed(&k, |_| CountingProbe::new());
+        let (s_on, p_on) = on.execute_probed(&k, |_| CountingProbe::new());
+        let (s_off, p_off) = off.execute_probed(&k, |_| CountingProbe::new());
         assert_eq!(s_on, s_off, "fast-forward changed Stats");
         for (a, b) in p_on.iter().zip(p_off.iter()) {
             assert_eq!(a.view(), b.view(), "fast-forward changed probe view");

@@ -8,8 +8,8 @@
 //! determinism contract) makes a parallel sweep bit-identical to a
 //! serial one.
 //!
-//! Without the `parallel` crate feature (or with one job) the pool
-//! degenerates to a plain in-order loop on the calling thread.
+//! With one job the pool degenerates to a plain in-order loop on the
+//! calling thread.
 //!
 //! [`SimPool::run_timed`] additionally self-measures: per-worker busy
 //! and queue-wait time plus the pool's wall time come back as a
@@ -239,12 +239,9 @@ impl SimPool {
         H: CellHooks,
     {
         let start = Instant::now();
-        #[cfg(feature = "parallel")]
-        {
-            let jobs = self.jobs.min(inputs.len()).max(1);
-            if jobs > 1 {
-                return run_parallel_observed(inputs, &f, hooks, jobs, start);
-            }
+        let jobs = self.jobs.min(inputs.len()).max(1);
+        if jobs > 1 {
+            return run_parallel_observed(inputs, &f, hooks, jobs, start);
         }
         let total = inputs.len();
         let mut worker = WorkerTelemetry::default();
@@ -281,7 +278,6 @@ impl SimPool {
     }
 }
 
-#[cfg(feature = "parallel")]
 fn run_parallel_observed<I, T, F, H>(
     inputs: &[I],
     f: &F,

@@ -1,6 +1,6 @@
 //! Zero-overhead observability hooks for the timing engine.
 //!
-//! The engine's hot loops are generic over a [`Probe`]: every
+//! The engine's hot loop is generic over a [`Probe`]: every
 //! simulation-visible event — warp issue, stall attribution, cache and
 //! DRAM traffic, MSHR pressure, epoch boundaries, warp retirement —
 //! calls the matching hook on the issuing SM's probe instance. The
@@ -15,8 +15,8 @@
 //! SM that owns the event (phase-B memory events are attributed to the
 //! *requesting* SM). Phase A only touches SM-local state and phase B
 //! runs in canonical order, so each probe records an identical event
-//! stream for any host thread count — observability inherits the
-//! engine's determinism contract for free.
+//! stream for any `--jobs` and with fast-forward on or off —
+//! observability inherits the engine's determinism contract for free.
 //!
 //! Shipped probes:
 //!
@@ -88,7 +88,7 @@ impl StallCause {
     }
 }
 
-/// Observability hooks called from the engine's hot loops.
+/// Observability hooks called from the engine's hot loop.
 ///
 /// Every method has an empty default body, so an implementation only
 /// pays for (and only writes) the events it cares about. Implementors
@@ -96,7 +96,7 @@ impl StallCause {
 /// Hooks mirror the counter updates of [`Stats`] exactly: summing a
 /// hook's payloads over a run reproduces the corresponding counter
 /// bit-for-bit (this is what [`CountingProbe`] does).
-pub trait Probe: Send {
+pub trait Probe {
     /// Statically `true` when every hook of this probe type is a no-op
     /// ([`NopProbe`] and compositions of it). The engine's fast-forward
     /// path uses this to elide the per-skipped-epoch hook replay that
@@ -760,7 +760,7 @@ impl CallSiteStats {
 /// The deterministic cycle audit of a run: every per-SM epoch-cycle of
 /// the simulated timeline classified, a histogram of fast-forwardable
 /// gap lengths, and per-call-site type profiles. Wall-clock-free —
-/// byte-identical for any host thread count.
+/// byte-identical for any `--jobs`.
 ///
 /// Accounting model: each SM sees the same epoch cycles `c_0 < … <
 /// c_n`. Epoch `i < n` covers `[c_i, c_{i+1})`: one cycle in its

@@ -313,13 +313,13 @@ fn log_hist_merge_associative_commutative() {
 }
 
 /// Attribution inherits the engine's determinism contract: on arbitrary
-/// kernels, the merged [`AttribReport`] is identical for any host
-/// thread count and any merge order, probing never perturbs `Stats`,
-/// and the attributed per-tag transaction totals reconcile exactly with
-/// the `Stats` load-transaction counters (the profiler's hard
-/// cross-check invariant).
+/// kernels, probing never perturbs `Stats`, the merged
+/// [`AttribReport`] is identical for any merge order, and the
+/// attributed per-tag transaction totals reconcile exactly with the
+/// `Stats` load-transaction counters (the profiler's hard cross-check
+/// invariant).
 #[test]
-fn attribution_identical_any_thread_count() {
+fn attribution_reconciles_in_any_merge_order() {
     use gvf_sim::{AttribReport, AttributionProbe};
     props!(12, |rng| {
         let kernel = arb_kernel(rng);
@@ -328,172 +328,124 @@ fn attribution_identical_any_thread_count() {
         let (stats, probes) =
             Gpu::new(cfg.clone()).execute_probed(&kernel, |_| AttributionProbe::new());
         assert_eq!(stats, plain, "attribution probe perturbed Stats");
-        let mut serial = AttribReport::default();
-        for p in probes {
-            serial.merge(p.report());
+        let mut reports: Vec<AttribReport> = probes
+            .into_iter()
+            .map(AttributionProbe::into_report)
+            .collect();
+        let mut forward = AttribReport::default();
+        for r in &reports {
+            forward.merge(r);
         }
         for tag in AccessTag::ALL {
             assert_eq!(
-                serial.transactions_by_tag(tag),
+                forward.transactions_by_tag(tag),
                 plain.load_transactions_by_tag[tag.index()],
                 "attribution does not reconcile for {tag:?}"
             );
         }
-        for threads in [2usize, 5] {
-            let (s, probes) = Gpu::new(cfg.clone())
-                .with_threads(threads)
-                .execute_probed(&kernel, |_| AttributionProbe::new());
-            assert_eq!(s, plain, "probed Stats diverged at {threads} threads");
-            // Merge in reverse SM order: commutativity must make the
-            // whole-GPU report insensitive to it.
-            let mut reports: Vec<AttribReport> = probes
-                .into_iter()
-                .map(AttributionProbe::into_report)
-                .collect();
-            reports.reverse();
-            let mut total = AttribReport::default();
-            for r in &reports {
-                total.merge(r);
-            }
-            assert_eq!(total, serial, "attribution diverged at {threads} threads");
+        // Merge in reverse SM order: commutativity must make the
+        // whole-GPU report insensitive to it.
+        reports.reverse();
+        let mut backward = AttribReport::default();
+        for r in &reports {
+            backward.merge(r);
         }
+        assert_eq!(backward, forward, "attribution depends on merge order");
     });
+}
+
+/// Merged cycle audit of one probed run; asserts the audit probe left
+/// `Stats` untouched.
+fn audit_of(gpu: &Gpu, kernel: &KernelTrace, plain: &Stats) -> gvf_sim::CycleAuditReport {
+    use gvf_sim::{CycleAuditProbe, CycleAuditReport};
+    let (stats, probes) = gpu.execute_probed(kernel, |_| CycleAuditProbe::new());
+    assert_eq!(&stats, plain, "audit probe perturbed Stats");
+    let mut report = CycleAuditReport {
+        sms: probes.len() as u64,
+        audited_cycles: stats.cycles,
+        ..CycleAuditReport::default()
+    };
+    for p in probes {
+        p.finalize_into(stats.cycles, &mut report);
+    }
+    report
 }
 
 /// Cycle-audit invariants: (1) the audit probe never perturbs `Stats`;
 /// (2) the epoch-class accounting covers each SM's timeline exactly —
 /// `active + stalledKnown + stalledOther + drained + skipped + tail ==
-/// sms × Stats::cycles`; (3) the merged report is bit-identical for
-/// any host thread count (the serial-vs-parallel byte-diff CI gate in
-/// library form), on arbitrary kernels.
+/// sms × Stats::cycles` — on arbitrary kernels.
 #[test]
-fn cycle_audit_reconciles_and_is_thread_count_invariant() {
-    use gvf_sim::{CycleAuditProbe, CycleAuditReport};
-    let audit_of = |gpu: Gpu, kernel: &KernelTrace, plain: &Stats| -> CycleAuditReport {
-        let (stats, probes) = gpu.execute_probed(kernel, |_| CycleAuditProbe::new());
-        assert_eq!(&stats, plain, "audit probe perturbed Stats");
-        let mut report = CycleAuditReport {
-            sms: probes.len() as u64,
-            audited_cycles: stats.cycles,
-            ..CycleAuditReport::default()
-        };
-        for p in probes {
-            p.finalize_into(stats.cycles, &mut report);
-        }
-        report
-    };
+fn cycle_audit_reconciles() {
     props!(12, |rng| {
         let kernel = arb_kernel(rng);
         let cfg = GpuConfig::small();
         let plain = Gpu::new(cfg.clone()).execute(&kernel);
-        let serial = audit_of(Gpu::new(cfg.clone()), &kernel, &plain);
+        let audit = audit_of(&Gpu::new(cfg), &kernel, &plain);
         assert!(
-            serial.reconciles(),
+            audit.reconciles(),
             "audit classes {} != {} sms x {} cycles",
-            serial.classes_total(),
-            serial.sms,
-            serial.audited_cycles
+            audit.classes_total(),
+            audit.sms,
+            audit.audited_cycles
         );
-        assert_eq!(serial.audited_cycles, plain.cycles);
-        for threads in [2usize, 5] {
-            let parallel = audit_of(Gpu::new(cfg.clone()).with_threads(threads), &kernel, &plain);
-            assert_eq!(parallel, serial, "audit diverged at {threads} threads");
-        }
+        assert_eq!(audit.audited_cycles, plain.cycles);
     });
 }
 
-/// The engine's whole determinism contract in property form:
-/// [`Gpu::execute`] ≡ [`Gpu::execute_serial`] over random programs,
-/// with fast-forward on and off, at 1/2/8 host threads. All three
+/// Fast-forward in property form: over random programs, the default
+/// fast-forwarding engine ≡ plain epoch ticking
+/// ([`Gpu::with_fast_forward`]`(false)`, the tick reference). All three
 /// determinism-checked artifacts must agree — [`Stats`], the merged
 /// attribution report and the merged cycle-audit report. The structs
 /// compared here are exactly what the harness serializes, and the
 /// serializer is deterministic, so struct equality is artifact
 /// byte-equality.
 #[test]
-fn execute_matches_execute_serial_over_ff_and_threads() {
-    use gvf_sim::{
-        AttribReport, AttributionProbe, CycleAuditProbe, CycleAuditReport, Gpu, KernelTrace,
-    };
+fn fast_forward_matches_tick_reference() {
+    use gvf_sim::{AttribReport, AttributionProbe, CycleAuditReport};
 
-    fn artifacts(
-        gpu: &Gpu,
-        serial: bool,
-        kernel: &KernelTrace,
-    ) -> (Stats, AttribReport, CycleAuditReport) {
-        let (stats, aprobes) = if serial {
-            gpu.execute_serial_probed(kernel, |_| AttributionProbe::new())
-        } else {
-            gpu.execute_probed(kernel, |_| AttributionProbe::new())
-        };
+    fn artifacts(gpu: &Gpu, kernel: &KernelTrace) -> (Stats, AttribReport, CycleAuditReport) {
+        let stats = gpu.execute(kernel);
+        let (s2, aprobes) = gpu.execute_probed(kernel, |_| AttributionProbe::new());
+        assert_eq!(stats, s2, "attribution probe perturbed Stats");
         let mut attrib = AttribReport::default();
         for p in aprobes {
             attrib.merge(p.report());
         }
-        let (s2, cprobes) = if serial {
-            gpu.execute_serial_probed(kernel, |_| CycleAuditProbe::new())
-        } else {
-            gpu.execute_probed(kernel, |_| CycleAuditProbe::new())
-        };
-        assert_eq!(stats, s2, "Stats differ across probe kinds");
-        let mut audit = CycleAuditReport {
-            sms: cprobes.len() as u64,
-            audited_cycles: s2.cycles,
-            ..CycleAuditReport::default()
-        };
-        for p in cprobes {
-            p.finalize_into(s2.cycles, &mut audit);
-        }
+        let audit = audit_of(gpu, kernel, &stats);
         (stats, attrib, audit)
     }
 
     props!(8, |rng| {
         let kernel = arb_kernel(rng);
         let cfg = GpuConfig::small();
-        let reference = artifacts(&Gpu::new(cfg.clone()), true, &kernel);
-        for ff in [true, false] {
-            for threads in [1usize, 2, 8] {
-                let gpu = Gpu::new(cfg.clone())
-                    .with_threads(threads)
-                    .with_fast_forward(ff);
-                let parallel = artifacts(&gpu, false, &kernel);
-                assert_eq!(
-                    parallel, reference,
-                    "execute diverged from serial reference (ff={ff}, threads={threads})"
-                );
-                let serial = artifacts(&gpu, true, &kernel);
-                assert_eq!(
-                    serial, reference,
-                    "execute_serial diverged (ff={ff}, threads={threads})"
-                );
-            }
-        }
+        let tick = artifacts(&Gpu::new(cfg.clone()).with_fast_forward(false), &kernel);
+        let ff = artifacts(&Gpu::new(cfg), &kernel);
+        assert_eq!(ff, tick, "fast-forward diverged from the tick reference");
     });
 }
 
 /// Observability invariant: probes never perturb the run (`Stats` from
 /// a probed execution are bit-identical to the un-probed `NopProbe`
 /// path), and the hook stream is *complete* — a [`CountingProbe`]
-/// reconstructs every event-derived counter exactly. Holds serially and
-/// in parallel for any host thread count, on arbitrary kernels.
+/// reconstructs every event-derived counter exactly, on arbitrary
+/// kernels.
 #[test]
-fn probe_events_reconstruct_stats_any_thread_count() {
+fn probe_events_reconstruct_stats() {
     use gvf_sim::CountingProbe;
     props!(12, |rng| {
         let kernel = arb_kernel(rng);
-        let cfg = GpuConfig::small();
-        let plain = Gpu::new(cfg.clone()).execute(&kernel);
-        for threads in [1usize, 2, 5] {
-            let gpu = Gpu::new(cfg.clone()).with_threads(threads);
-            let (s, probes) = gpu.execute_probed(&kernel, |_| CountingProbe::new());
-            assert_eq!(s, plain, "probed Stats diverged at {threads} threads");
-            let mut view = CountingProbe::merged(&probes);
-            // The trace-derived trio is carried by no event; copy it
-            // over and demand everything else match exactly.
-            view.cycles = plain.cycles;
-            view.warps = plain.warps;
-            view.vfunc_calls = plain.vfunc_calls;
-            assert_eq!(view, plain, "event stream incomplete at {threads} threads");
-        }
+        let gpu = Gpu::new(GpuConfig::small());
+        let plain = gpu.execute(&kernel);
+        let (s, probes) = gpu.execute_probed(&kernel, |_| CountingProbe::new());
+        assert_eq!(s, plain, "probed Stats diverged");
+        let mut view = CountingProbe::merged(&probes);
+        // The trace-derived trio is carried by no event; copy it over
+        // and demand everything else match exactly.
+        view.cycles = plain.cycles;
+        view.warps = plain.warps;
+        view.vfunc_calls = plain.vfunc_calls;
+        assert_eq!(view, plain, "event stream incomplete");
     });
 }

@@ -98,17 +98,17 @@ fn kernel(warps: usize, reps: usize) -> KernelTrace {
 
 #[test]
 fn epoch_loop_is_allocation_free() {
-    let gpu = Gpu::new(GpuConfig::small()).with_threads(1);
+    let gpu = Gpu::new(GpuConfig::small());
     let short = kernel(40, 8);
     let long = kernel(40, 32);
     // Warm-up: let lazy one-time allocations (rayon-free, but e.g.
     // stdio locks or TLS inits) happen outside the measured windows.
-    gpu.execute_serial(&short);
+    gpu.execute(&short);
     let a_short = allocs_during(|| {
-        gpu.execute_serial(&short);
+        gpu.execute(&short);
     });
     let a_long = allocs_during(|| {
-        gpu.execute_serial(&long);
+        gpu.execute(&long);
     });
     // 4× the epochs, identical per-epoch structure: any marginal
     // allocation per epoch would show up as a_long > a_short.
@@ -117,7 +117,7 @@ fn epoch_loop_is_allocation_free() {
         "per-epoch allocation detected: long run cost {a_long} allocations, short run {a_short}"
     );
     // Sanity: the longer kernel really did simulate more cycles.
-    let s = gpu.execute_serial(&short);
-    let l = gpu.execute_serial(&long);
+    let s = gpu.execute(&short);
+    let l = gpu.execute(&long);
     assert!(l.cycles > s.cycles);
 }

@@ -154,15 +154,11 @@ pub struct WorkloadConfig {
     pub tag_budget: Option<u64>,
     /// Simulated DRAM capacity in bytes.
     pub device_memory_bytes: u64,
-    /// Host threads for the timing engine's per-SM phase (`1` = serial,
-    /// `0` = auto). Purely a wall-clock knob: simulated results are
-    /// bit-identical for any value (the engine's determinism contract).
-    pub engine_threads: usize,
     /// Per-SM event-driven fast-forward in the timing engine (on by
-    /// default). Like `engine_threads`, purely a wall-clock knob:
-    /// stats, probe streams and artifacts are bit-identical either
-    /// way. Off (`--no-fast-forward`) forces plain epoch ticking so CI
-    /// can A/B the two paths.
+    /// default; see [`Gpu::with_fast_forward`](gvf_sim::Gpu::with_fast_forward)).
+    /// Off forces plain epoch ticking, the reference that tests compare
+    /// fast-forward against: stats, probe streams and artifacts are
+    /// bit-identical either way. No binary turns it off.
     pub fast_forward: bool,
     /// Observability recording for this run ([`ProbeSpec::OFF`] by
     /// default, which keeps the engine on the zero-overhead
@@ -187,7 +183,6 @@ impl WorkloadConfig {
             coal_lookup: LookupKind::SegmentTree,
             tag_budget: None,
             device_memory_bytes: 4 << 30,
-            engine_threads: 1,
             fast_forward: true,
             probe: ProbeSpec::OFF,
         }
@@ -207,7 +202,6 @@ impl WorkloadConfig {
             coal_lookup: LookupKind::SegmentTree,
             tag_budget: None,
             device_memory_bytes: 512 << 20,
-            engine_threads: 1,
             fast_forward: true,
             probe: ProbeSpec::OFF,
         }

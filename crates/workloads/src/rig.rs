@@ -57,9 +57,7 @@ impl Rig {
             mem,
             prog,
             alloc,
-            gpu: Gpu::new(cfg.gpu.clone())
-                .with_threads(cfg.engine_threads)
-                .with_fast_forward(cfg.fast_forward),
+            gpu: Gpu::new(cfg.gpu.clone()).with_fast_forward(cfg.fast_forward),
             stats: Stats::new(),
             objects_built: 0,
             probe_spec: cfg.probe,

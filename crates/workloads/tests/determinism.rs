@@ -1,35 +1,46 @@
-//! The determinism gate CI relies on: every evaluated workload produces
-//! bit-identical [`Stats`] whether the timing engine runs serially or on
-//! multiple host threads, and repeated parallel runs agree with each
-//! other. This is the engine's determinism contract (DESIGN.md) checked
-//! end-to-end through real workloads rather than synthetic traces.
+//! The engine's fast-forward checked end-to-end through real
+//! workloads rather than synthetic traces: every evaluated workload
+//! produces bit-identical results — counters, checksum, domain metrics,
+//! init cost, attribution evidence and cycle audit — whether the timing
+//! engine fast-forwards quiet epochs (the default) or ticks every epoch
+//! (the reference path). Repeated runs also agree with each other.
 
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadConfig, WorkloadKind};
+use gvf_sim::ProbeSpec;
+use gvf_workloads::{run_workload, RunResult, WorkloadConfig, WorkloadKind};
 
-fn cfg_with_threads(threads: usize) -> WorkloadConfig {
+fn run(kind: WorkloadKind, strategy: Strategy, fast_forward: bool) -> RunResult {
     let mut cfg = WorkloadConfig::tiny();
-    cfg.engine_threads = threads;
-    cfg
+    cfg.fast_forward = fast_forward;
+    cfg.probe = ProbeSpec {
+        attribution: true,
+        cycle_audit: true,
+        ..ProbeSpec::OFF
+    };
+    run_workload(kind, strategy, &cfg)
 }
 
-/// All eleven evaluated workloads: serial and 2-thread engines agree
-/// bit-for-bit on counters, checksum and domain metrics.
+fn assert_ff_matches_tick(kind: WorkloadKind, strategy: Strategy) {
+    let ff = run(kind, strategy, true);
+    let tick = run(kind, strategy, false);
+    let cell = format!("{kind}/{strategy}");
+    assert_eq!(ff.stats, tick.stats, "{cell}: stats diverged");
+    assert_eq!(ff.checksum, tick.checksum, "{cell}: checksum diverged");
+    assert_eq!(ff.metrics, tick.metrics, "{cell}: metrics diverged");
+    assert_eq!(ff.init_cycles, tick.init_cycles, "{cell}: init diverged");
+    assert!(
+        ff.attrib.is_some() && ff.audit.is_some(),
+        "{cell}: probes off"
+    );
+    assert_eq!(ff.attrib, tick.attrib, "{cell}: attribution diverged");
+    assert_eq!(ff.audit, tick.audit, "{cell}: cycle audit diverged");
+}
+
+/// All eleven evaluated workloads under SharedOA.
 #[test]
-fn all_workloads_serial_vs_parallel_identical() {
+fn all_workloads_fast_forward_matches_tick() {
     for kind in WorkloadKind::EVALUATED {
-        let serial = run_workload(kind, Strategy::SharedOa, &cfg_with_threads(1));
-        let parallel = run_workload(kind, Strategy::SharedOa, &cfg_with_threads(2));
-        assert_eq!(serial.stats, parallel.stats, "{kind}: stats diverged");
-        assert_eq!(
-            serial.checksum, parallel.checksum,
-            "{kind}: checksum diverged"
-        );
-        assert_eq!(serial.metrics, parallel.metrics, "{kind}: metrics diverged");
-        assert_eq!(
-            serial.init_cycles, parallel.init_cycles,
-            "{kind}: init diverged"
-        );
+        assert_ff_matches_tick(kind, Strategy::SharedOa);
     }
 }
 
@@ -37,7 +48,7 @@ fn all_workloads_serial_vs_parallel_identical() {
 /// non-baseline dispatch paths (COAL's range walk, TypePointer's tagged
 /// loads) on a representative workload each.
 #[test]
-fn strategies_serial_vs_parallel_identical() {
+fn strategies_fast_forward_matches_tick() {
     for (kind, strategy) in [
         (WorkloadKind::Traffic, Strategy::Cuda),
         (WorkloadKind::VeBfs, Strategy::Coal),
@@ -45,35 +56,17 @@ fn strategies_serial_vs_parallel_identical() {
         (WorkloadKind::GameOfLife, Strategy::TypePointerHw),
         (WorkloadKind::VenPr, Strategy::Concord),
     ] {
-        let serial = run_workload(kind, strategy, &cfg_with_threads(1));
-        let parallel = run_workload(kind, strategy, &cfg_with_threads(2));
-        assert_eq!(
-            serial.stats, parallel.stats,
-            "{kind}/{strategy}: stats diverged"
-        );
-        assert_eq!(
-            serial.checksum, parallel.checksum,
-            "{kind}/{strategy}: checksum diverged"
-        );
+        assert_ff_matches_tick(kind, strategy);
     }
 }
 
-/// Two parallel runs agree with each other (no hidden scheduling or
-/// iteration-order dependence), including with auto thread count.
+/// Two runs agree with each other (no hidden iteration-order
+/// dependence).
 #[test]
-fn parallel_runs_repeatable() {
-    for threads in [2, 0] {
-        let a = run_workload(
-            WorkloadKind::Structure,
-            Strategy::Coal,
-            &cfg_with_threads(threads),
-        );
-        let b = run_workload(
-            WorkloadKind::Structure,
-            Strategy::Coal,
-            &cfg_with_threads(threads),
-        );
-        assert_eq!(a.stats, b.stats, "threads={threads}");
-        assert_eq!(a.checksum, b.checksum, "threads={threads}");
-    }
+fn runs_repeatable() {
+    let cfg = WorkloadConfig::tiny();
+    let a = run_workload(WorkloadKind::Structure, Strategy::Coal, &cfg);
+    let b = run_workload(WorkloadKind::Structure, Strategy::Coal, &cfg);
+    assert_eq!(a.stats, b.stats);
+    assert_eq!(a.checksum, b.checksum);
 }
