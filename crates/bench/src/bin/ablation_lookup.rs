@@ -9,20 +9,9 @@ use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::{geomean, print_table};
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{grid, Cell};
 use gvf_core::{LookupKind, Strategy};
-use gvf_workloads::{run_workload, WorkloadKind};
-
-/// Part-1 grid variants per workload, in grid order.
-#[derive(Clone, Copy, PartialEq)]
-enum Variant {
-    /// SharedOA baseline.
-    Base,
-    /// COAL with the paper's segment tree.
-    Tree,
-    /// COAL with a linear range scan.
-    Linear,
-}
+use gvf_workloads::WorkloadKind;
 
 const KINDS: [WorkloadKind; 4] = [
     WorkloadKind::GameOfLife,
@@ -34,25 +23,23 @@ const KINDS: [WorkloadKind; 4] = [
 fn main() {
     let opts = HarnessOpts::from_args();
 
-    // Part 1: COAL lookup structure, normalized to SharedOA.
-    let cells: Vec<(WorkloadKind, Variant)> = KINDS
+    // Part 1: COAL lookup structure, normalized to SharedOA. Per
+    // workload: the SharedOA baseline, COAL with the paper's segment
+    // tree, COAL with a linear range scan.
+    let cells: Vec<Cell> = KINDS
         .into_iter()
-        .flat_map(|k| [(k, Variant::Base), (k, Variant::Tree), (k, Variant::Linear)])
+        .flat_map(|k| {
+            [
+                Cell::workload(k, Strategy::SharedOa),
+                Cell::workload(k, Strategy::Coal),
+                Cell {
+                    coal_lookup: Some(LookupKind::LinearScan),
+                    ..Cell::workload(k, Strategy::Coal)
+                },
+            ]
+        })
         .collect();
-    let cache = opts.cell_cache("ablation_lookup");
-    let mut results = run_cells("ablation_lookup", &opts, &cells, |i, &(k, v)| {
-        let mut cfg = opts.cfg_for_cell(i);
-        let s = match v {
-            Variant::Base => Strategy::SharedOa,
-            Variant::Tree => Strategy::Coal,
-            Variant::Linear => {
-                cfg.coal_lookup = LookupKind::LinearScan;
-                Strategy::Coal
-            }
-        };
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
-    })
-    .into_results(&opts);
+    let mut results = grid("ablation_lookup", &opts, &cells).into_results(&opts);
 
     let mut records = Vec::new();
     let mut rows = Vec::new();
@@ -109,15 +96,24 @@ fn main() {
     println!("\nExtension — TypePointer §6.1 fallback: shrinking tag budget (vE-BFS)");
     println!("(normalized to unbounded-budget TypePointer)\n");
     let budgets: [(Option<u64>, u32); 4] = [(None, 4), (Some(24), 3), (Some(16), 2), (Some(8), 1)];
-    let budget_cache = opts.cell_cache("ablation_budget");
-    let sweep = run_cells("ablation_budget", &opts, &budgets, |i, &(budget, _)| {
-        let mut cfg = opts.cfg.clone();
-        cfg.tag_budget = budget;
-        budget_cache.run(i, &cfg, || {
-            run_workload(WorkloadKind::VeBfs, Strategy::TypePointerHw, &cfg)
+    let budget_cells: Vec<Cell> = budgets
+        .iter()
+        .map(|&(tag_budget, _)| Cell {
+            tag_budget,
+            ..Cell::workload(WorkloadKind::VeBfs, Strategy::TypePointerHw)
         })
-    })
-    .into_results(&opts);
+        .collect();
+    // The budget sweep runs unprobed: its records carry no attribution
+    // or audit, and the attribution and audit documents list them as
+    // null.
+    let unprobed = HarnessOpts {
+        trace_out: None,
+        metrics_out: None,
+        attrib_out: None,
+        audit_out: None,
+        ..opts.clone()
+    };
+    let sweep = grid("ablation_budget", &unprobed, &budget_cells).into_results(&unprobed);
     let full = &sweep[0];
     let mut rows = vec![vec![
         "unbounded (4/4 tagged)".to_string(),

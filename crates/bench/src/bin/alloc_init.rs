@@ -12,22 +12,17 @@ use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::{geomean, print_table};
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{grid, Cell};
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let cells: Vec<(WorkloadKind, Strategy)> = WorkloadKind::EVALUATED
+    let cells: Vec<Cell> = WorkloadKind::EVALUATED
         .into_iter()
-        .flat_map(|k| [(k, Strategy::Cuda), (k, Strategy::SharedOa)])
+        .flat_map(|k| [Strategy::Cuda, Strategy::SharedOa].map(|s| Cell::workload(k, s)))
         .collect();
-    let cache = opts.cell_cache("alloc_init");
-    let mut results = run_cells("alloc_init", &opts, &cells, |i, &(k, s)| {
-        let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
-    })
-    .into_results(&opts);
+    let mut results = grid("alloc_init", &opts, &cells).into_results(&opts);
 
     let mut rows = Vec::new();
     let mut records = Vec::new();

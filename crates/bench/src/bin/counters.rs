@@ -5,25 +5,20 @@
 
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::manifest::{self, CellRecord};
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{grid, Cell};
 use gvf_core::Strategy;
 use gvf_sim::AccessTag;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 const KINDS: [WorkloadKind; 2] = [WorkloadKind::VeBfs, WorkloadKind::GameOfLife];
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let cells: Vec<(WorkloadKind, Strategy)> = KINDS
+    let cells: Vec<Cell> = KINDS
         .into_iter()
-        .flat_map(|k| Strategy::EVALUATED.into_iter().map(move |s| (k, s)))
+        .flat_map(|k| Strategy::EVALUATED.map(|s| Cell::workload(k, s)))
         .collect();
-    let cache = opts.cell_cache("counters");
-    let mut results = run_cells("counters", &opts, &cells, |i, &(k, s)| {
-        let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
-    })
-    .into_results(&opts);
+    let mut results = grid("counters", &opts, &cells).into_results(&opts);
 
     let stride = Strategy::EVALUATED.len();
     let mut records = Vec::new();

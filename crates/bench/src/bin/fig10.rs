@@ -12,9 +12,9 @@ use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{grid, Cell};
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -26,20 +26,17 @@ fn main() {
         .collect();
 
     // Grid per workload: one CUDA baseline, then COAL per chunk size.
-    let mut cells: Vec<(WorkloadKind, Strategy, u64)> = Vec::new();
+    let mut cells = Vec::new();
     for kind in WorkloadKind::EVALUATED {
-        cells.push((kind, Strategy::Cuda, opts.cfg.initial_chunk_objs));
+        cells.push(Cell::workload(kind, Strategy::Cuda));
         for &chunk in &chunk_sizes {
-            cells.push((kind, Strategy::Coal, chunk));
+            cells.push(Cell {
+                initial_chunk_objs: Some(chunk),
+                ..Cell::workload(kind, Strategy::Coal)
+            });
         }
     }
-    let cache = opts.cell_cache("fig10");
-    let mut results = run_cells("fig10", &opts, &cells, |i, &(k, s, chunk)| {
-        let mut cfg = opts.cfg_for_cell(i);
-        cfg.initial_chunk_objs = chunk;
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
-    })
-    .into_results(&opts);
+    let mut results = grid("fig10", &opts, &cells).into_results(&opts);
 
     let stride = 1 + chunk_sizes.len();
     let mut records = Vec::new();

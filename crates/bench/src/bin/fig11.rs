@@ -9,9 +9,9 @@ use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::{geomean, print_table};
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{grid, Cell};
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -19,19 +19,19 @@ fn main() {
     // The hardware variant: Fig. 11 is an Accel-Sim experiment with the
     // MMU change, so no software masking overhead; both cells pin the
     // CUDA heap allocator via the override.
-    let cells: Vec<(WorkloadKind, Strategy)> = WorkloadKind::EVALUATED
+    let cells: Vec<Cell> = WorkloadKind::EVALUATED
         .into_iter()
-        .flat_map(|k| [(k, Strategy::Cuda), (k, Strategy::TypePointerHw)])
+        .flat_map(|k| {
+            [
+                Cell::workload(k, Strategy::Cuda),
+                Cell {
+                    allocator_override: Some(AllocatorKind::Cuda),
+                    ..Cell::workload(k, Strategy::TypePointerHw)
+                },
+            ]
+        })
         .collect();
-    let cache = opts.cell_cache("fig11");
-    let mut results = run_cells("fig11", &opts, &cells, |i, &(k, s)| {
-        let mut cfg = opts.cfg_for_cell(i);
-        if s == Strategy::TypePointerHw {
-            cfg.allocator_override = Some(AllocatorKind::Cuda);
-        }
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
-    })
-    .into_results(&opts);
+    let mut results = grid("fig11", &opts, &cells).into_results(&opts);
 
     let mut rows = Vec::new();
     let mut records = Vec::new();

@@ -13,9 +13,9 @@ use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{grid, Cell};
 use gvf_core::Strategy;
-use gvf_workloads::{micro, MicroParams};
+use gvf_workloads::MicroParams;
 
 const STRATEGIES: [Strategy; 4] = [
     Strategy::Branch,
@@ -32,29 +32,25 @@ fn main() {
 
     // Both sweeps form one flat grid so a single pool keeps every core
     // busy across the (a)/(b) boundary.
-    let mut cells: Vec<(MicroParams, Strategy)> = Vec::new();
+    let mut points: Vec<(MicroParams, Strategy)> = Vec::new();
     for step in STEPS {
         let params = MicroParams {
             n_objects: unit * step,
             n_types: 4,
         };
-        cells.extend(STRATEGIES.map(|s| (params, s)));
+        points.extend(STRATEGIES.map(|s| (params, s)));
     }
     for types in STEPS {
         let params = MicroParams {
             n_objects: unit * 16,
             n_types: types,
         };
-        cells.extend(STRATEGIES.map(|s| (params, s)));
+        points.extend(STRATEGIES.map(|s| (params, s)));
     }
-    let cache = opts.cell_cache("fig12");
-    let mut results = run_cells("fig12", &opts, &cells, |i, &(p, s)| {
-        let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || micro::run(s, p, &cfg))
-    })
-    .into_results(&opts);
+    let cells: Vec<Cell> = points.iter().map(|&(p, s)| Cell::micro(p, s)).collect();
+    let mut results = grid("fig12", &opts, &cells).into_results(&opts);
 
-    let records: Vec<CellRecord> = cells
+    let records: Vec<CellRecord> = points
         .iter()
         .zip(&results)
         .map(|(&(p, s), r)| {

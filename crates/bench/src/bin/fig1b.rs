@@ -9,24 +9,21 @@ use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{grid, Cell};
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let cells: Vec<WorkloadKind> = WorkloadKind::EVALUATED.to_vec();
-    let cache = opts.cell_cache("fig1b");
-    let mut results = run_cells("fig1b", &opts, &cells, |i, &k| {
-        let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, Strategy::Cuda, &cfg))
-    })
-    .into_results(&opts);
+    let cells: Vec<Cell> = WorkloadKind::EVALUATED
+        .map(|k| Cell::workload(k, Strategy::Cuda))
+        .to_vec();
+    let mut results = grid("fig1b", &opts, &cells).into_results(&opts);
 
     let mut rows = Vec::new();
     let mut records = Vec::new();
     let (mut sa, mut sb, mut sc) = (0.0, 0.0, 0.0);
-    for (kind, r) in cells.iter().zip(&results) {
+    for (kind, r) in WorkloadKind::EVALUATED.iter().zip(&results) {
         let (a, b, c) = r.stats.dispatch_latency_breakdown();
         sa += a;
         sb += b;

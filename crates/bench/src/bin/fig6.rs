@@ -8,37 +8,21 @@ use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::{geomean, print_table};
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{eval_grid, eval_rows, grid, EVAL_BASELINE};
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
 
 fn main() {
     let opts = HarnessOpts::from_args();
     let strategies = Strategy::EVALUATED;
-    let base_idx = strategies
-        .iter()
-        .position(|&s| s == Strategy::SharedOa)
-        .expect("SharedOA is evaluated");
-
-    let cells: Vec<(WorkloadKind, Strategy)> = WorkloadKind::EVALUATED
-        .into_iter()
-        .flat_map(|k| strategies.into_iter().map(move |s| (k, s)))
-        .collect();
-    let cache = opts.cell_cache("fig6");
-    let mut results = run_cells("fig6", &opts, &cells, |i, &(k, s)| {
-        let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
-    })
-    .into_results(&opts);
+    let mut results = grid("fig6", &opts, &eval_grid()).into_results(&opts);
 
     let mut rows = Vec::new();
     let mut records = Vec::new();
     let mut per_strategy: Vec<Vec<f64>> = vec![Vec::new(); strategies.len()];
-    for (ki, kind) in WorkloadKind::EVALUATED.into_iter().enumerate() {
-        let base = &results[ki * strategies.len() + base_idx];
+    for (kind, cells) in eval_rows(&results) {
+        let base = &cells[EVAL_BASELINE];
         let mut row = vec![format!("{} {}", kind.suite(), kind)];
-        for (si, s) in strategies.into_iter().enumerate() {
-            let r = &results[ki * strategies.len() + si];
+        for (si, (s, r)) in strategies.into_iter().zip(cells).enumerate() {
             assert_eq!(r.checksum, base.checksum, "{kind}: {s} functional mismatch");
             let norm = r.stats.speedup_vs(&base.stats);
             per_strategy[si].push(norm);

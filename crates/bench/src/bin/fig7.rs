@@ -8,39 +8,22 @@ use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{eval_grid, eval_rows, grid, EVAL_BASELINE};
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
     let strategies = Strategy::EVALUATED;
-    let base_idx = strategies
-        .iter()
-        .position(|&s| s == Strategy::SharedOa)
-        .expect("SharedOA is evaluated");
-
-    let cells: Vec<(WorkloadKind, Strategy)> = WorkloadKind::EVALUATED
-        .into_iter()
-        .flat_map(|k| strategies.into_iter().map(move |s| (k, s)))
-        .collect();
-    let cache = opts.cell_cache("fig7");
-    let mut results = run_cells("fig7", &opts, &cells, |i, &(k, s)| {
-        let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
-    })
-    .into_results(&opts);
+    let mut results = grid("fig7", &opts, &eval_grid()).into_results(&opts);
 
     let mut rows = Vec::new();
     let mut records = Vec::new();
     // Unweighted per-app ratios, as the paper averages them.
     let mut sums = vec![(0.0f64, 0.0f64, 0.0f64, 0.0f64); strategies.len()];
-    for (ki, kind) in WorkloadKind::EVALUATED.into_iter().enumerate() {
-        let base_total = results[ki * strategies.len() + base_idx]
-            .stats
-            .total_instrs() as f64;
-        for (si, s) in strategies.into_iter().enumerate() {
-            let r = &results[ki * strategies.len() + si];
+    for (kind, cells) in eval_rows(&results) {
+        let base_total = cells[EVAL_BASELINE].stats.total_instrs() as f64;
+        for (si, (s, r)) in strategies.into_iter().zip(cells).enumerate() {
             let (m, c, x) = (
                 r.stats.instrs_mem as f64 / base_total,
                 r.stats.instrs_compute as f64 / base_total,

@@ -7,32 +7,21 @@
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{eval_grid, eval_rows, grid};
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
     let strategies = Strategy::EVALUATED;
-
-    let cells: Vec<(WorkloadKind, Strategy)> = WorkloadKind::EVALUATED
-        .into_iter()
-        .flat_map(|k| strategies.into_iter().map(move |s| (k, s)))
-        .collect();
-    let cache = opts.cell_cache("fig9");
-    let mut results = run_cells("fig9", &opts, &cells, |i, &(k, s)| {
-        let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
-    })
-    .into_results(&opts);
+    let mut results = grid("fig9", &opts, &eval_grid()).into_results(&opts);
 
     let mut rows = Vec::new();
     let mut records = Vec::new();
     let mut sums = vec![0.0f64; strategies.len()];
-    for (ki, kind) in WorkloadKind::EVALUATED.into_iter().enumerate() {
+    for (kind, cells) in eval_rows(&results) {
         let mut row = vec![kind.label().to_string()];
-        for (si, s) in strategies.into_iter().enumerate() {
-            let r = &results[ki * strategies.len() + si];
+        for (si, (s, r)) in strategies.into_iter().zip(cells).enumerate() {
             let hr = r.stats.l1_hit_rate();
             sums[si] += hr;
             row.push(format!("{:.1}%", hr * 100.0));

@@ -7,10 +7,10 @@ use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{grid, Cell};
 use gvf_core::Strategy;
 use gvf_sim::GpuConfig;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 const STRATEGIES: [Strategy; 4] = [
     Strategy::SharedOa,
@@ -28,39 +28,34 @@ fn main() {
     ];
 
     // Grid: workload × machine × strategy, SharedOA first as baseline.
-    let mut cells: Vec<(WorkloadKind, usize, Strategy)> = Vec::new();
+    let mut rows_of: Vec<(WorkloadKind, &str)> = Vec::new();
+    let mut cells: Vec<Cell> = Vec::new();
     for kind in [WorkloadKind::GameOfLife, WorkloadKind::VeBfs] {
-        for mi in 0..machines.len() {
-            for s in STRATEGIES {
-                cells.push((kind, mi, s));
-            }
+        for (name, gpu) in &machines {
+            rows_of.push((kind, name));
+            cells.extend(STRATEGIES.map(|s| Cell {
+                gpu: Some(gpu.clone()),
+                ..Cell::workload(kind, s)
+            }));
         }
     }
-    let cache = opts.cell_cache("generations");
-    let mut results = run_cells("generations", &opts, &cells, |i, &(k, mi, s)| {
-        let mut cfg = opts.cfg_for_cell(i);
-        cfg.gpu = machines[mi].1.clone();
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
-    })
-    .into_results(&opts);
+    let mut results = grid("generations", &opts, &cells).into_results(&opts);
 
     let stride = STRATEGIES.len();
     let mut rows = Vec::new();
     let mut records = Vec::new();
-    for (gi, &(kind, mi, _)) in cells.iter().enumerate().step_by(stride) {
-        let name = machines[mi].0;
-        let base = &results[gi];
+    for (&(kind, name), row_results) in rows_of.iter().zip(results.chunks(stride)) {
+        let base = &row_results[0];
         records.push(
             CellRecord::of(kind.label(), Strategy::SharedOa.label(), base)
                 .with("gpu", Json::str(name)),
         );
         let mut row = vec![format!("{} {}", kind.label(), name)];
-        for si in 1..stride {
-            let r = &results[gi + si];
+        for (s, r) in STRATEGIES.iter().zip(row_results).skip(1) {
             let norm = r.stats.speedup_vs(&base.stats);
             row.push(format!("{norm:.2}"));
             records.push(
-                CellRecord::of(kind.label(), STRATEGIES[si].label(), r)
+                CellRecord::of(kind.label(), s.label(), r)
                     .with("gpu", Json::str(name))
                     .with("norm_vs_sharedoa", Json::Num(norm)),
             );

@@ -93,11 +93,11 @@ fn main() {
             }
         };
         if manifest_used_cell_cache(&doc) {
-            // Cached cells take near-zero wall time; judging a resumed
+            // Cached cells take near-zero wall time; judging a cache-served
             // run against a fresh baseline is meaningless either way.
             skips += 1;
             if !quiet {
-                eprintln!("perf_gate: SKIP {path} — run resumed cells from the cell cache");
+                eprintln!("perf_gate: SKIP {path} — run served cells from the cell cache");
             }
             continue;
         }

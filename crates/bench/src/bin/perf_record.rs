@@ -15,10 +15,11 @@
 //! noise-robust point. Exits non-zero if any manifest is unreadable,
 //! so a broken pipeline cannot silently record nothing.
 //!
-//! Manifests from resumed runs (any cell served from the cell cache,
-//! see `hostPerf.cellCache`) are **skipped with a note**: cached cells
-//! take near-zero wall time, so their cycles/sec figure would poison
-//! the baseline with impossibly fast samples.
+//! Manifests of runs that served any cell from the cell cache (see
+//! `hostPerf.cellCache`) are **skipped with a note**: cached cells take
+//! near-zero wall time, so their cycles/sec figure would poison the
+//! baseline with impossibly fast samples. `run_all.sh` therefore
+//! records its `--no-cache` sample runs.
 //!
 //! Benchmark-grade entries (non-smoke, wall ≥ `MIN_BENCH_WALL_S`)
 //! recorded from fewer than
@@ -77,7 +78,7 @@ fn main() {
         };
         if manifest_used_cell_cache(&doc) {
             if !quiet {
-                eprintln!("perf_record: {path}: skipped — run resumed cells from the cell cache");
+                eprintln!("perf_record: {path}: skipped — run served cells from the cell cache");
             }
             continue;
         }

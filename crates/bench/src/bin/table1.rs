@@ -17,10 +17,10 @@ use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{grid, Cell};
 use gvf_core::Strategy;
 use gvf_sim::AccessTag;
-use gvf_workloads::{micro, MicroParams};
+use gvf_workloads::MicroParams;
 
 const STRATEGIES: [Strategy; 3] = [Strategy::SharedOa, Strategy::Coal, Strategy::TypePointerHw];
 
@@ -28,23 +28,19 @@ fn main() {
     let mut opts = HarnessOpts::from_args();
     opts.cfg.iterations = 1;
 
-    let cells: Vec<(MicroParams, Strategy)> =
+    let points: Vec<(MicroParams, Strategy)> =
         [(16384usize, 2usize), (16384, 8), (65536, 2), (65536, 8)]
             .into_iter()
             .flat_map(|(n_objects, n_types)| {
                 STRATEGIES.map(|s| (MicroParams { n_objects, n_types }, s))
             })
             .collect();
-    let cache = opts.cell_cache("table1");
-    let mut results = run_cells("table1", &opts, &cells, |i, &(p, s)| {
-        let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || micro::run(s, p, &cfg))
-    })
-    .into_results(&opts);
+    let cells: Vec<Cell> = points.iter().map(|&(p, s)| Cell::micro(p, s)).collect();
+    let mut results = grid("table1", &opts, &cells).into_results(&opts);
 
     let mut rows = Vec::new();
     let mut records = Vec::new();
-    for (&(params, s), r) in cells.iter().zip(&results) {
+    for (&(params, s), r) in points.iter().zip(&results) {
         let a = r.stats.load_transactions_per_call(AccessTag::VtablePtr);
         let walk = r.stats.load_transactions_per_call(AccessTag::RangeWalk);
         let b = r.stats.load_transactions_per_call(AccessTag::VfuncPtr);

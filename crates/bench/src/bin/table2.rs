@@ -10,23 +10,20 @@ use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{grid, Cell};
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let cells: Vec<WorkloadKind> = WorkloadKind::EVALUATED.to_vec();
-    let cache = opts.cell_cache("table2");
-    let mut results = run_cells("table2", &opts, &cells, |i, &k| {
-        let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, Strategy::SharedOa, &cfg))
-    })
-    .into_results(&opts);
+    let cells: Vec<Cell> = WorkloadKind::EVALUATED
+        .map(|k| Cell::workload(k, Strategy::SharedOa))
+        .to_vec();
+    let mut results = grid("table2", &opts, &cells).into_results(&opts);
 
     let mut rows = Vec::new();
     let mut records = Vec::new();
-    for (kind, r) in cells.iter().zip(&results) {
+    for (kind, r) in WorkloadKind::EVALUATED.iter().zip(&results) {
         rows.push(vec![
             format!("{} {}", kind.suite(), kind.label()),
             format!("{}", r.table2.objects),

@@ -37,7 +37,10 @@
 //! from the document alone. `gvf.cycleaudit` documents get the audit's
 //! equivalent: the six epoch classes must sum to `sms × auditedCycles`
 //! exactly, and `auditedCycles` must equal the cell's copied `Stats`
-//! cycle counter.
+//! cycle counter. `gvf.cellcache` v3 entries must carry their key
+//! material (sim, strategy, config), a model fingerprint, a matching
+//! content hash and a decodable result (see
+//! [`gvf_bench::cellcache::verify_entry`]).
 
 use gvf_bench::bench_history::TRAJECTORY_SCHEMA;
 use gvf_bench::cellcache::{self, CELLCACHE_SCHEMA};
@@ -162,7 +165,7 @@ fn check(doc: &Json, schema: &str) -> Result<(), String> {
             arr_len("traceEvents").ok_or("trace without a traceEvents array")?;
             Ok(())
         }
-        CELLCACHE_SCHEMA => cellcache::verify_entry(doc),
+        CELLCACHE_SCHEMA => cellcache::verify_entry(doc).map(|_| ()),
         EVENTS_SCHEMA => {
             // Reached only for a one-object file: a real stream is
             // JSONL and is detected before whole-file parsing.

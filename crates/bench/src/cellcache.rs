@@ -1,74 +1,66 @@
-//! Content-addressed cell cache: checkpoint/resume for figure sweeps.
+//! Content-addressed cell cache: every distinct simulation runs once.
 //!
-//! Every grid cell of a figure binary is a pure function of its
-//! simulation configuration — that is the determinism contract the CI
-//! diffs enforce. This module exploits it: a completed cell's
-//! [`RunResult`] is persisted under a **cell key**, the FNV-1a hash of
-//! (schema versions, generator id, cell index, full simulation config),
-//! and a later run with the same key can skip the simulation entirely
-//! (`--resume`). The key deliberately excludes everything the
-//! determinism view excludes — host-perf, wall-clock, `--jobs` — so a
-//! resumed sweep emits **byte-identical** manifests and attribution
-//! artifacts; only the `hostPerf` section (already stripped by
-//! `validate_json --det-diff`) records how many cells came from the
-//! cache.
+//! A grid cell's result is a pure function of what it simulates, its
+//! strategy and its configuration — the determinism contract the CI
+//! diffs enforce. A completed cell's [`RunResult`] is persisted under
+//! a **cell key**, the FNV-1a hash of (cache schema version, workload
+//! or micro point, strategy, simulation config incl. probe spec). No
+//! binary name or grid index enters the key, so binaries whose grids
+//! overlap share entries: fig7 after fig6 simulates nothing. The key
+//! excludes what the determinism view excludes — host-perf, wall-clock,
+//! `--jobs`, `fast_forward` — so a sweep served from the cache emits
+//! **byte-identical** manifests and attribution artifacts; only the
+//! `hostPerf` section records how many cells came from the cache.
 //!
 //! Entries live under `<dir>/.cellcache/<key>.json` (schema
-//! `gvf.cellcache` v1) next to the `--json-out` artifact by default.
-//! Each entry carries a `contentHash` over its own rendering, so a
-//! corrupted or hand-edited entry is detected and re-simulated rather
-//! than trusted (`validate_json` enforces the same check in CI — the
-//! cache-poisoning gate).
+//! `gvf.cellcache` v3), next to the `--json-out` artifact by default.
+//! Each records its key material, a `contentHash` over its own
+//! rendering (a corrupted or hand-edited entry is re-simulated, and
+//! `validate_json` rejects it in CI), and the **model fingerprint**
+//! that `build.rs` takes over the sources of the model crates. An
+//! entry of another model is a miss and is overwritten, so a stale
+//! result is never replayed and reads are on whenever the cache is: an
+//! interrupted sweep resumes by re-running the same command.
 //!
-//! What the cache does **not** key on: the simulator's code. Editing
-//! the engine and resuming against a stale cache will happily replay
-//! old results — `run_all.sh` therefore defaults to *write-only* mode
-//! (`--resume` opts into reads), and the cache directory is safe to
-//! delete at any time.
-//!
-//! Cells that record observability artifacts (`--trace-out` /
-//! `--metrics-out` probe the first cell) bypass the cache entirely:
-//! event streams are large and wall-clock-adjacent, and a resumed run
-//! must still produce them fresh. The mechanism-attribution and
-//! cycle-audit reports are different: both are bounded, deterministic
-//! counters, so they travel *through* the cache (and are keyed, since
-//! they change what a [`RunResult`] carries).
+//! Cells that record timeline or metrics streams (the first cell under
+//! `--trace-out` / `--metrics-out`) bypass the cache: a re-run must
+//! produce those streams fresh. Attribution and cycle-audit reports are
+//! bounded, deterministic counters, so they travel *through* the cache
+//! (and are keyed, since they change what a [`RunResult`] carries).
 
+use crate::cli::HarnessOpts;
 use crate::json::Json;
+use crate::sweep::Sim;
 use gvf_alloc::AllocatorKind;
 use gvf_alloc::{AllocStats, TypeKey, TypeRegionStats};
-use gvf_core::{LookupAttrib, LookupKind, TagAttrib, TagMode};
+use gvf_core::{LookupAttrib, LookupKind, Strategy, TagAttrib, TagMode};
 use gvf_sim::{
     AttribReport, CallSiteStats, CycleAuditReport, LogHist, PcLoadStats, LOG_HIST_BUCKETS,
 };
 use gvf_workloads::{AllocAttribSnapshot, AttribBundle, RunResult, Table2Row, WorkloadConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+pub use crate::fnv::fnv1a64;
+
 /// Cell-cache schema identifier.
 pub const CELLCACHE_SCHEMA: &str = crate::schemas::CELLCACHE.id;
 /// Cell-cache schema version; bump on breaking changes.
 /// v2: entries carry the cycle-audit report and key on `cycle_audit`.
+/// v3: keyed on what the cell simulates instead of (generator, index);
+/// entries record their key material and the model fingerprint.
 pub const CELLCACHE_SCHEMA_VERSION: u32 = crate::schemas::CELLCACHE.version;
 
 /// Directory name holding cache entries, under the artifact directory.
 pub const CELLCACHE_DIR: &str = ".cellcache";
 
+/// Fingerprint of the model crates' sources, computed by `build.rs`.
+pub const MODEL_FINGERPRINT: &str = include_str!(concat!(env!("OUT_DIR"), "/model_fingerprint"));
+
 // Process-wide counters surfaced in the manifest's `hostPerf` section
 // (which the determinism diff strips, so they never affect a byte diff).
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
+static SIMULATED: AtomicU64 = AtomicU64::new(0);
 static CACHE_WRITES: AtomicU64 = AtomicU64::new(0);
-
-/// 64-bit FNV-1a. The standard library's `DefaultHasher` is not stable
-/// across releases; cache keys must be, so the hash is pinned here.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn opt_u64(v: Option<u64>) -> Json {
     match v {
@@ -157,16 +149,22 @@ pub fn config_fingerprint(cfg: &WorkloadConfig) -> String {
     )
 }
 
-/// The content-addressed key of grid cell `index` of `generator` under
-/// `cfg`, as a 16-digit hex string (the cache file's basename).
-pub fn cell_key(generator: &str, index: usize, cfg: &WorkloadConfig) -> String {
+/// The content-addressed key of a cell from its rendered parts: what
+/// it simulates ([`crate::sweep::Sim::json`]), the strategy label and
+/// the [`config_fingerprint_json`]. A 16-digit hex string, the cache
+/// file's basename; [`verify_entry`] re-derives it from an entry.
+fn key_of(sim: &Json, strategy: &str, config: &Json) -> String {
     let material = format!(
-        "cellcache-v{}\nmanifest-v{}\ngenerator={generator}\ncell={index}\n{}",
-        CELLCACHE_SCHEMA_VERSION,
-        crate::manifest::MANIFEST_SCHEMA_VERSION,
-        config_fingerprint_json(cfg).render(),
+        "cellcache-v{CELLCACHE_SCHEMA_VERSION}\nsim={}\nstrategy={strategy}\n{}",
+        sim.render(),
+        config.render(),
     );
     format!("{:016x}", fnv1a64(material.as_bytes()))
+}
+
+/// The key of simulating `sim` under `strategy` with `cfg`.
+pub fn cell_key(sim: &Sim, strategy: Strategy, cfg: &WorkloadConfig) -> String {
+    key_of(&sim.json(), strategy.label(), &config_fingerprint_json(cfg))
 }
 
 fn u64_arr(v: &[u64]) -> Json {
@@ -588,30 +586,28 @@ fn parse_result(j: &Json) -> Option<RunResult> {
     })
 }
 
-/// Builds the `gvf.cellcache` entry document for one completed cell.
-pub fn entry_doc(generator: &str, index: usize, key: &str, r: &RunResult) -> Json {
-    let doc = Json::obj()
-        .with("schema", Json::str(CELLCACHE_SCHEMA))
-        .with("version", Json::num_u64(CELLCACHE_SCHEMA_VERSION as u64))
-        .with("generator", Json::str(generator))
-        .with("cell", Json::num_u64(index as u64))
-        .with("key", Json::str(key))
-        .with("contentHash", Json::str(""))
-        .with("result", result_json(r));
-    let hash = content_hash(&doc);
-    Json::Obj(match doc {
-        Json::Obj(members) => members
-            .into_iter()
-            .map(|(k, v)| {
-                if k == "contentHash" {
-                    (k, Json::str(&hash))
-                } else {
-                    (k, v)
-                }
-            })
-            .collect(),
-        _ => unreachable!(),
-    })
+/// Builds the `gvf.cellcache` entry document for one completed cell:
+/// its key material, the model fingerprint that produced it, the
+/// result, and the content hash sealing all of it.
+pub fn entry_doc(
+    sim: &Sim,
+    strategy: Strategy,
+    cfg: &WorkloadConfig,
+    model: &str,
+    r: &RunResult,
+) -> Json {
+    let doc = |hash: &str| {
+        Json::obj()
+            .with("schema", Json::str(CELLCACHE_SCHEMA))
+            .with("version", Json::num_u64(CELLCACHE_SCHEMA_VERSION as u64))
+            .with("sim", sim.json())
+            .with("strategy", Json::str(strategy.label()))
+            .with("config", config_fingerprint_json(cfg))
+            .with("model", Json::str(model))
+            .with("contentHash", Json::str(hash))
+            .with("result", result_json(r))
+    };
+    doc(&content_hash(&doc("")))
 }
 
 /// The integrity hash of an entry: FNV-1a over the document's rendering
@@ -637,10 +633,13 @@ pub fn content_hash(doc: &Json) -> String {
     format!("{:016x}", fnv1a64(blanked.render().as_bytes()))
 }
 
-/// Structural + integrity validation of a parsed cache entry. Returns a
-/// human-readable reason on rejection (shared by the resume path and
-/// `validate_json`).
-pub fn verify_entry(doc: &Json) -> Result<(), String> {
+/// Structural + integrity validation of a parsed cache entry: the
+/// content hash matches and the result decodes. Returns the entry's
+/// key, derived from its recorded sim, strategy and config, with the
+/// decoded result — or a human-readable reason for the rejection
+/// (shared by the cache's reads and `validate_json`). An entry of
+/// another model passes: it is well-formed, just not a hit.
+pub fn verify_entry(doc: &Json) -> Result<(String, RunResult), String> {
     if doc.get("schema").and_then(Json::as_str) != Some(CELLCACHE_SCHEMA) {
         return Err("schema is not gvf.cellcache".to_string());
     }
@@ -649,151 +648,157 @@ pub fn verify_entry(doc: &Json) -> Result<(), String> {
             "unsupported version (want {CELLCACHE_SCHEMA_VERSION})"
         ));
     }
-    for field in ["generator", "key", "contentHash"] {
-        if doc.get(field).and_then(Json::as_str).is_none() {
-            return Err(format!("missing string field {field}"));
-        }
-    }
-    if doc.get("cell").and_then(Json::as_num).is_none() {
-        return Err("missing cell index".to_string());
-    }
-    let recorded = doc.get("contentHash").and_then(Json::as_str).unwrap_or("");
+    let field = |name: &str| doc.get(name).ok_or(format!("missing {name}"));
+    let string = |name: &str| {
+        field(name)?
+            .as_str()
+            .ok_or(format!("{name} is not a string"))
+    };
+    let (strategy, recorded) = (string("strategy")?, string("contentHash")?);
+    string("model")?;
     let actual = content_hash(doc);
     if recorded != actual {
         return Err(format!(
             "content hash mismatch (recorded {recorded}, actual {actual}) — entry is corrupt or poisoned"
         ));
     }
-    let result = doc.get("result").ok_or("missing result")?;
-    if parse_result(result).is_none() {
-        return Err("result section does not decode".to_string());
-    }
-    Ok(())
+    let key = key_of(field("sim")?, strategy, field("config")?);
+    let result = parse_result(field("result")?).ok_or("result section does not decode")?;
+    Ok((key, result))
 }
 
-/// A per-binary handle on the cache directory.
-///
-/// `read` is `--resume`; writes happen whenever the cache is enabled
-/// (so a default run warms the cache for a later `--resume`). A `None`
-/// directory disables everything — [`CellCache::run`] degrades to
-/// calling the simulation closure directly.
+/// The cache directory of one run. A `None` directory disables it —
+/// [`CellCache::run`] then always simulates.
 pub struct CellCache {
-    dir: Option<String>,
-    read: bool,
+    dir: Option<std::path::PathBuf>,
     quiet: bool,
-    generator: String,
 }
 
 impl CellCache {
-    /// A cache rooted at `dir` (`None` = disabled).
-    pub fn new(dir: Option<String>, read: bool, quiet: bool, generator: &str) -> Self {
+    /// A cache rooted at `dir` (`None` = disabled); `quiet` silences
+    /// the stderr notes about rejected entries and failed writes.
+    pub fn new(dir: Option<&str>, quiet: bool) -> Self {
         CellCache {
-            dir,
-            read,
+            dir: dir.map(Into::into),
             quiet,
-            generator: generator.to_string(),
         }
     }
 
-    /// A disabled cache: every cell simulates.
-    pub fn disabled(generator: &str) -> Self {
-        CellCache::new(None, false, true, generator)
+    /// The cache of a run: `--cache-dir`, else `.cellcache/` next to the
+    /// `--json-out` artifact; disabled by `--no-cache` or when neither
+    /// flag gives a directory.
+    pub fn for_run(opts: &HarnessOpts) -> Self {
+        let dir = opts.cache_dir.clone().or_else(|| {
+            opts.json_out.as_ref().map(|p| {
+                let parent = std::path::Path::new(p)
+                    .parent()
+                    .filter(|d| !d.as_os_str().is_empty())
+                    .unwrap_or_else(|| std::path::Path::new("."));
+                parent.join(CELLCACHE_DIR).to_string_lossy().into_owned()
+            })
+        });
+        CellCache::new(dir.filter(|_| !opts.no_cache).as_deref(), opts.quiet)
     }
 
-    fn path_for(&self, key: &str) -> Option<std::path::PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| std::path::Path::new(d).join(format!("{key}.json")))
+    fn note(&self, msg: std::fmt::Arguments) {
+        if !self.quiet {
+            eprintln!("[cellcache] {msg}");
+        }
     }
 
-    fn try_read(&self, index: usize, key: &str) -> Option<RunResult> {
-        let path = self.path_for(key)?;
-        let text = std::fs::read_to_string(&path).ok()?;
-        let doc = Json::parse(&text).ok()?;
-        if let Err(reason) = verify_entry(&doc) {
-            if !self.quiet {
-                eprintln!(
-                    "[{}] ignoring cache entry {}: {reason}",
-                    self.generator,
-                    path.display()
-                );
+    fn try_read(&self, path: &std::path::Path, key: &str) -> Option<RunResult> {
+        let doc = Json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
+        match verify_entry(&doc) {
+            Err(reason) => {
+                self.note(format_args!("ignoring entry {}: {reason}", path.display()));
+                None
             }
-            return None;
+            Ok((derived, _)) if derived != key => {
+                self.note(format_args!(
+                    "ignoring entry {}: filed under another key",
+                    path.display()
+                ));
+                None
+            }
+            Ok(_) if doc.get("model").and_then(Json::as_str) != Some(MODEL_FINGERPRINT) => {
+                self.note(format_args!(
+                    "entry {} is from another build of the model; re-simulating",
+                    path.display()
+                ));
+                None
+            }
+            Ok((_, result)) => Some(result),
         }
-        if doc.get("generator").and_then(Json::as_str) != Some(self.generator.as_str())
-            || doc.get("cell").and_then(Json::as_num) != Some(index as f64)
-            || doc.get("key").and_then(Json::as_str) != Some(key)
-        {
-            return None;
-        }
-        parse_result(doc.get("result")?)
     }
 
-    fn write(&self, index: usize, key: &str, r: &RunResult) {
-        let Some(path) = self.path_for(key) else {
-            return;
-        };
-        let doc = entry_doc(&self.generator, index, key, r);
-        // Atomic publish: a concurrent or killed writer never leaves a
-        // torn entry under the final name. I/O errors only cost the
-        // cache, never the run.
-        let tmp = path.with_extension("json.tmp");
+    fn write(&self, path: &std::path::Path, doc: &Json) {
+        // Atomic publish under a writer-unique temporary name: a
+        // concurrent or killed writer never leaves a torn entry under
+        // the final name. I/O errors only cost the cache, never the run.
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        let tmp = path.with_extension(format!(
+            "{}.{}.tmp",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         let ok = (|| -> std::io::Result<()> {
             if let Some(parent) = path.parent() {
                 std::fs::create_dir_all(parent)?;
             }
             std::fs::write(&tmp, doc.render())?;
-            std::fs::rename(&tmp, &path)
+            std::fs::rename(&tmp, path)
         })();
         match ok {
             Ok(()) => {
                 CACHE_WRITES.fetch_add(1, Ordering::Relaxed);
             }
             Err(e) => {
-                if !self.quiet {
-                    eprintln!(
-                        "[{}] could not write cache entry {}: {e}",
-                        self.generator,
-                        path.display()
-                    );
-                }
+                let _ = std::fs::remove_file(&tmp);
+                self.note(format_args!(
+                    "could not write entry {}: {e}",
+                    path.display()
+                ));
             }
         }
     }
 
-    /// Produces cell `index`'s result: from the cache when resuming and
-    /// a valid entry exists, otherwise by running `f` (and persisting
-    /// its result). Cells whose probe spec records timeline or metrics
-    /// streams bypass the cache entirely (see the module docs).
+    /// Produces grid cell `index`'s result: from the cache when a valid
+    /// entry of this model exists, otherwise by running `f` (and
+    /// persisting its result). Cells whose probe spec records timeline
+    /// or metrics streams bypass the cache (see the module docs); like
+    /// every cell that runs `f`, they count as simulated.
     pub fn run(
         &self,
         index: usize,
+        sim: &Sim,
+        strategy: Strategy,
         cfg: &WorkloadConfig,
         f: impl FnOnce() -> RunResult,
     ) -> RunResult {
         let observed = cfg.probe.timeline_events_per_sm > 0 || cfg.probe.metrics_bucket_cycles > 0;
-        if self.dir.is_none() || observed {
+        let Some(dir) = self.dir.as_ref().filter(|_| !observed) else {
+            SIMULATED.fetch_add(1, Ordering::Relaxed);
             return f();
+        };
+        let key = cell_key(sim, strategy, cfg);
+        let path = dir.join(format!("{key}.json"));
+        if let Some(r) = self.try_read(&path, &key) {
+            CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+            // The pool will report this cell finished; the events
+            // stream turns that into a cellCacheHit terminal.
+            crate::events::note_cache_hit(index, &key);
+            return r;
         }
-        let key = cell_key(&self.generator, index, cfg);
-        if self.read {
-            if let Some(r) = self.try_read(index, &key) {
-                CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-                // The pool will report this cell finished; the events
-                // stream turns that into a cellCacheHit terminal.
-                crate::events::note_cache_hit(index, &key);
-                return r;
-            }
-        }
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+        SIMULATED.fetch_add(1, Ordering::Relaxed);
         let r = f();
-        self.write(index, &key, &r);
+        self.write(&path, &entry_doc(sim, strategy, cfg, MODEL_FINGERPRINT, &r));
         r
     }
 }
 
 /// This process's cache counters for the manifest's `hostPerf` section:
-/// `cachedCells` came from the cache, `simulatedCells` ran, and
+/// `cachedCells` came from the cache, `simulatedCells` ran (cache
+/// misses, bypassed cells and cells of a disabled cache alike), and
 /// `entriesWritten` were persisted.
 pub fn counters_json() -> Json {
     Json::obj()
@@ -803,7 +808,7 @@ pub fn counters_json() -> Json {
         )
         .with(
             "simulatedCells",
-            Json::num_u64(CACHE_MISSES.load(Ordering::Relaxed)),
+            Json::num_u64(SIMULATED.load(Ordering::Relaxed)),
         )
         .with(
             "entriesWritten",
@@ -938,15 +943,18 @@ mod tests {
         assert!(b.obs.is_none());
     }
 
+    fn gol() -> Sim {
+        Sim::Workload(gvf_workloads::WorkloadKind::GameOfLife)
+    }
+
     #[test]
     fn entry_round_trips_losslessly() {
         let r = sample_result();
         let cfg = WorkloadConfig::tiny();
-        let key = cell_key("fig6", 3, &cfg);
-        let doc = entry_doc("fig6", 3, &key, &r);
+        let doc = entry_doc(&gol(), Strategy::Coal, &cfg, MODEL_FINGERPRINT, &r);
         let parsed = Json::parse(&doc.render()).expect("parse");
-        verify_entry(&parsed).expect("verifies");
-        let decoded = parse_result(parsed.get("result").expect("result")).expect("decode");
+        let (key, decoded) = verify_entry(&parsed).expect("verifies");
+        assert_eq!(key, cell_key(&gol(), Strategy::Coal, &cfg));
         results_equal(&r, &decoded);
     }
 
@@ -954,8 +962,7 @@ mod tests {
     fn tampering_breaks_the_content_hash() {
         let r = sample_result();
         let cfg = WorkloadConfig::tiny();
-        let key = cell_key("fig6", 0, &cfg);
-        let doc = entry_doc("fig6", 0, &key, &r);
+        let doc = entry_doc(&gol(), Strategy::Cuda, &cfg, MODEL_FINGERPRINT, &r);
         verify_entry(&doc).expect("fresh entry verifies");
         // Poison a counter without updating the hash.
         let poisoned = Json::parse(&doc.render().replace("12345", "1")).expect("parse");
@@ -964,50 +971,168 @@ mod tests {
     }
 
     #[test]
-    fn key_tracks_config_generator_and_index() {
+    fn key_tracks_what_is_simulated_not_where() {
         let cfg = WorkloadConfig::tiny();
-        let base = cell_key("fig6", 0, &cfg);
-        assert_eq!(base, cell_key("fig6", 0, &cfg), "stable");
-        assert_ne!(base, cell_key("fig7", 0, &cfg), "generator keyed");
-        assert_ne!(base, cell_key("fig6", 1, &cfg), "index keyed");
+        let base = cell_key(&gol(), Strategy::Cuda, &cfg);
+        assert_eq!(base, cell_key(&gol(), Strategy::Cuda, &cfg), "stable");
+        // No generator and no grid index exist to key on: the key is a
+        // function of (sim, strategy, cfg) alone.
+        let other_kind = Sim::Workload(gvf_workloads::WorkloadKind::VeBfs);
+        assert_ne!(
+            base,
+            cell_key(&other_kind, Strategy::Cuda, &cfg),
+            "workload keyed"
+        );
+        let micro =
+            |n_objects, n_types| Sim::Micro(gvf_workloads::MicroParams { n_objects, n_types });
+        let m = cell_key(&micro(1024, 4), Strategy::Cuda, &cfg);
+        assert_ne!(m, base, "micro vs workload keyed");
+        assert_ne!(
+            m,
+            cell_key(&micro(2048, 4), Strategy::Cuda, &cfg),
+            "n_objects keyed"
+        );
+        assert_ne!(
+            m,
+            cell_key(&micro(1024, 8), Strategy::Cuda, &cfg),
+            "n_types keyed"
+        );
+        assert_ne!(
+            base,
+            cell_key(&gol(), Strategy::Coal, &cfg),
+            "strategy keyed"
+        );
         let mut other = cfg.clone();
         other.seed ^= 1;
-        assert_ne!(base, cell_key("fig6", 0, &other), "config keyed");
+        assert_ne!(
+            base,
+            cell_key(&gol(), Strategy::Cuda, &other),
+            "config keyed"
+        );
+        let mut chunk = cfg.clone();
+        chunk.initial_chunk_objs *= 2;
+        assert_ne!(
+            base,
+            cell_key(&gol(), Strategy::Cuda, &chunk),
+            "overrides keyed"
+        );
         // Host-side knobs are excluded, like the determinism view.
         let mut no_ff = cfg.clone();
         no_ff.fast_forward = false;
-        assert_eq!(base, cell_key("fig6", 0, &no_ff), "fast_forward excluded");
-        // The audit changes what a RunResult carries, so it is keyed.
+        assert_eq!(
+            base,
+            cell_key(&gol(), Strategy::Cuda, &no_ff),
+            "fast_forward excluded"
+        );
+        // Attribution and the audit change what a RunResult carries, so
+        // the probe spec is keyed.
         let mut audited = cfg.clone();
         audited.probe.cycle_audit = true;
-        assert_ne!(base, cell_key("fig6", 0, &audited), "cycle_audit keyed");
+        assert_ne!(
+            base,
+            cell_key(&gol(), Strategy::Cuda, &audited),
+            "cycle_audit keyed"
+        );
+        let mut attributed = cfg.clone();
+        attributed.probe.attribution = true;
+        assert_ne!(
+            base,
+            cell_key(&gol(), Strategy::Cuda, &attributed),
+            "attribution keyed"
+        );
+    }
+
+    fn temp_cache(tag: &str) -> (std::path::PathBuf, CellCache) {
+        let dir = std::env::temp_dir().join(format!("gvf-cellcache-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = CellCache::new(Some(&dir.to_string_lossy()), true);
+        (dir, cache)
     }
 
     #[test]
-    fn cache_round_trips_through_disk_and_counts() {
-        let dir = std::env::temp_dir().join(format!("gvf-cellcache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn cache_round_trips_through_disk() {
+        let (dir, cache) = temp_cache("roundtrip");
         let cfg = WorkloadConfig::tiny();
-        let cache = CellCache::new(Some(dir.to_string_lossy().into_owned()), true, true, "t");
         let mut ran = 0;
-        let r1 = cache.run(0, &cfg, || {
-            ran += 1;
-            sample_result()
-        });
-        let r2 = cache.run(0, &cfg, || {
-            ran += 1;
-            sample_result()
-        });
-        assert_eq!(ran, 1, "second run came from the cache");
+        let mut run = |cfg: &WorkloadConfig| {
+            cache.run(0, &gol(), Strategy::Cuda, cfg, || {
+                ran += 1;
+                sample_result()
+            })
+        };
+        let r1 = run(&cfg);
+        let r2 = run(&cfg);
         results_equal(&r1, &r2);
         // Probed cells bypass the cache.
         let mut probed = cfg.clone();
         probed.probe.timeline_events_per_sm = 16;
-        cache.run(0, &probed, || {
+        run(&probed);
+        assert_eq!(
+            ran, 2,
+            "second run came from the cache; observed cell re-simulated"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_of_another_model_is_resimulated_and_overwritten() {
+        let (dir, cache) = temp_cache("model");
+        let cfg = WorkloadConfig::tiny();
+        let key = cell_key(&gol(), Strategy::Cuda, &cfg);
+        let path = dir.join(format!("{key}.json"));
+        std::fs::create_dir_all(&dir).expect("create cache dir");
+        let mut stale = sample_result();
+        stale.stats.cycles = 1;
+        let other_model = "0123456789abcdef";
+        assert_ne!(other_model, MODEL_FINGERPRINT);
+        let doc = entry_doc(&gol(), Strategy::Cuda, &cfg, other_model, &stale);
+        verify_entry(&doc).expect("another model's entry is well-formed");
+        std::fs::write(&path, doc.render()).expect("plant stale entry");
+
+        let mut ran = 0;
+        let r = cache.run(0, &gol(), Strategy::Cuda, &cfg, || {
             ran += 1;
             sample_result()
         });
-        assert_eq!(ran, 2, "observed cell re-simulated");
+        assert_eq!(ran, 1, "stale entry is a miss");
+        assert_eq!(r.stats.cycles, sample_result().stats.cycles);
+        let rewritten =
+            Json::parse(&std::fs::read_to_string(&path).expect("entry")).expect("parse");
+        assert_eq!(
+            rewritten.get("model").and_then(Json::as_str),
+            Some(MODEL_FINGERPRINT),
+            "entry overwritten with this model's result"
+        );
+        let again = cache.run(0, &gol(), Strategy::Cuda, &cfg, || {
+            ran += 1;
+            sample_result()
+        });
+        assert_eq!(ran, 1, "the rewritten entry hits");
+        results_equal(&r, &again);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_filed_under_another_key_is_not_a_hit() {
+        let (dir, cache) = temp_cache("misfiled");
+        let cfg = WorkloadConfig::tiny();
+        std::fs::create_dir_all(&dir).expect("create cache dir");
+        // A well-formed COAL entry under the CUDA cell's key.
+        let coal = entry_doc(
+            &gol(),
+            Strategy::Coal,
+            &cfg,
+            MODEL_FINGERPRINT,
+            &sample_result(),
+        );
+        let cuda_key = cell_key(&gol(), Strategy::Cuda, &cfg);
+        std::fs::write(dir.join(format!("{cuda_key}.json")), coal.render()).expect("plant");
+        let mut ran = 0;
+        cache.run(0, &gol(), Strategy::Cuda, &cfg, || {
+            ran += 1;
+            sample_result()
+        });
+        assert_eq!(ran, 1, "misfiled entry re-simulated");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

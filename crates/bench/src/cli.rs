@@ -1,6 +1,5 @@
 //! Minimal flag parsing shared by the harness binaries.
 
-use gvf_sim::ProbeSpec;
 use gvf_workloads::WorkloadConfig;
 
 /// Default timeline event cap per SM when `--trace-out` is given.
@@ -47,15 +46,13 @@ pub struct HarnessOpts {
     /// Write the deterministic cycle-audit report (`gvf.cycleaudit` v1)
     /// here (`--audit-out`). Byte-identical for any `--jobs` value.
     pub audit_out: Option<String>,
-    /// Read completed cells back from the content-addressed cell cache
-    /// (`--resume`) instead of re-simulating them. Resumed sweeps emit
-    /// byte-identical manifests (see [`crate::cellcache`]).
-    pub resume: bool,
     /// Disable the cell cache entirely (`--no-cache`): no reads, no
-    /// writes. Mutually exclusive with `--resume`.
+    /// writes; every cell simulates.
     pub no_cache: bool,
     /// Cell-cache directory override (`--cache-dir`). Defaults to
-    /// `.cellcache/` next to the `--json-out` artifact.
+    /// `.cellcache/` next to the `--json-out` artifact. Cells found
+    /// there are read back instead of re-simulated, so re-running an
+    /// interrupted command resumes it (see [`crate::cellcache`]).
     pub cache_dir: Option<String>,
     /// Write the live `gvf.events` v1 JSONL telemetry stream here
     /// (`--events-out`). Wall-clock data, excluded from the determinism
@@ -103,7 +100,6 @@ impl HarnessOpts {
         let mut attrib_out = None;
         let mut profile_out = None;
         let mut audit_out = None;
-        let mut resume = false;
         let mut no_cache = false;
         let mut cache_dir = None;
         let mut events_out = None;
@@ -171,10 +167,6 @@ impl HarnessOpts {
                     audit_out = Some(need(i).clone());
                     i += 2;
                 }
-                "--resume" => {
-                    resume = true;
-                    i += 1;
-                }
                 "--no-cache" => {
                     no_cache = true;
                     i += 1;
@@ -210,7 +202,7 @@ impl HarnessOpts {
                          --jobs N (0 = all cores)  --smoke  --quiet  \
                          --json-out PATH  --trace-out PATH  --metrics-out PATH  \
                          --attrib-out PATH  --profile-out PATH  --audit-out PATH  \
-                         --resume  --no-cache  --cache-dir DIR  --events-out PATH  \
+                         --no-cache  --cache-dir DIR  --events-out PATH  \
                          --stall-factor X (default 8)  --fail-cell N (panic injection)  \
                          --slow-cell N (wall-clock slowdown injection)"
                     );
@@ -225,9 +217,6 @@ impl HarnessOpts {
             let seed = cfg.seed;
             cfg = WorkloadConfig::tiny();
             cfg.seed = seed;
-        }
-        if resume && no_cache {
-            usage_error("--resume and --no-cache are mutually exclusive");
         }
         if profile_out.is_some() {
             // Process-wide: spans record from the first kernel on, and
@@ -267,7 +256,6 @@ impl HarnessOpts {
             attrib_out,
             profile_out,
             audit_out,
-            resume,
             no_cache,
             cache_dir,
             events_out,
@@ -275,70 +263,5 @@ impl HarnessOpts {
             fail_cell,
             slow_cell,
         }
-    }
-
-    /// The content-addressed cell cache for this run (see
-    /// [`crate::cellcache`]). Enabled whenever a cache directory can be
-    /// derived — `--cache-dir`, or `.cellcache/` next to `--json-out` —
-    /// and `--no-cache` was not given; reads additionally require
-    /// `--resume`. A default run is therefore *write-only*: it warms
-    /// the cache so an interrupted sweep can be resumed, but never
-    /// trusts stale entries unless asked to.
-    pub fn cell_cache(&self, generator: &str) -> crate::cellcache::CellCache {
-        if self.no_cache {
-            return crate::cellcache::CellCache::disabled(generator);
-        }
-        let dir = self.cache_dir.clone().or_else(|| {
-            self.json_out.as_ref().map(|p| {
-                let parent = std::path::Path::new(p)
-                    .parent()
-                    .filter(|d| !d.as_os_str().is_empty())
-                    .unwrap_or_else(|| std::path::Path::new("."));
-                parent
-                    .join(crate::cellcache::CELLCACHE_DIR)
-                    .to_string_lossy()
-                    .into_owned()
-            })
-        });
-        crate::cellcache::CellCache::new(dir, self.resume, self.quiet, generator)
-    }
-
-    /// The configuration for grid cell `i`. Timeline/metrics recording
-    /// is enabled on the **first cell only** — one probed cell keeps
-    /// artifact sizes bounded (a full grid's timeline would be tens of
-    /// MB) while the manifest still covers every cell. Attribution
-    /// (`--attrib-out`) and the cycle audit (`--audit-out`) are enabled
-    /// on **every** cell: their reports are bounded histograms and
-    /// counters, not event streams, and the REPORT.md cross-checks
-    /// reconcile them against [`Stats`] for each cell. Probes never
-    /// change timing, so probed and unprobed cells report identical
-    /// [`gvf_sim::Stats`].
-    pub fn cfg_for_cell(&self, i: usize) -> WorkloadConfig {
-        let mut cfg = self.cfg.clone();
-        let attribution = self.attrib_out.is_some();
-        let cycle_audit = self.audit_out.is_some();
-        if i == 0 {
-            cfg.probe = ProbeSpec {
-                timeline_events_per_sm: if self.trace_out.is_some() {
-                    DEFAULT_TRACE_EVENTS_PER_SM
-                } else {
-                    0
-                },
-                metrics_bucket_cycles: if self.metrics_out.is_some() {
-                    DEFAULT_METRICS_BUCKET_CYCLES
-                } else {
-                    0
-                },
-                attribution,
-                cycle_audit,
-            };
-        } else if attribution || cycle_audit {
-            cfg.probe = ProbeSpec {
-                attribution,
-                cycle_audit,
-                ..ProbeSpec::OFF
-            };
-        }
-        cfg
     }
 }

@@ -27,13 +27,13 @@
 //!   entry for that cell, so dead cells carry their surrounding context
 //!   even when no `--events-out` was given.
 //!
-//! The stderr progress heartbeat that used to live in
-//! [`crate::sweep::run_cells`] is reimplemented here as one *consumer*
-//! of the in-process event dispatch (the JSONL sink is another, only
-//! attached when `--events-out` is given). The resumed-run ETA skew is
-//! fixed at the same time: cache-hit cells complete in microseconds, so
-//! folding them into the rate made `--resume` ETAs wildly optimistic —
-//! [`eta_seconds`] extrapolates from **non-cached** completions only.
+//! The stderr progress heartbeat of [`crate::sweep::grid`] is one
+//! *consumer* of the in-process event dispatch (the JSONL sink is
+//! another, only attached when `--events-out` is given). Cache-hit
+//! cells complete in microseconds, so folding them into the rate would
+//! make the ETA of a sweep served partly from the cache wildly
+//! optimistic — [`eta_seconds`] extrapolates from **non-cached**
+//! completions only.
 //!
 //! Like `hostPerf`, everything here is host-side wall-clock data: it
 //! never touches stdout, never feeds back into simulated timing, and
@@ -424,7 +424,7 @@ fn heartbeat_due(done: usize, total: usize, elapsed_ms: u64, prev_beat_ms: u64) 
 
 /// Remaining-time estimate from **non-cached** completions only.
 ///
-/// The resumed-run skew this fixes: a `--resume` sweep satisfies most
+/// The skew this avoids: a sweep over a warm cache satisfies most
 /// cells from the cache in microseconds; dividing wall time by *all*
 /// completions then predicts the remaining (to-be-simulated) cells at
 /// cache-hit speed, which is wildly optimistic. Extrapolating the rate

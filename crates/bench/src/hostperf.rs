@@ -128,8 +128,8 @@ pub fn host_perf_json_from(snap: &HostPerfSnapshot, total_sim_cycles: u64) -> Js
 
 /// The `hostPerf` section for this process right now: snapshots the
 /// global collector and appends the cell-cache counters (how many cells
-/// were resumed from the cache vs simulated — the *only* place a
-/// resumed run differs from a fresh one, and it is stripped by the
+/// came from the cache vs simulated — the *only* place a run served
+/// from the cache differs from a fresh one, and it is stripped by the
 /// determinism diff). Called by [`crate::manifest::emit`].
 pub fn host_perf_json(total_sim_cycles: u64) -> Json {
     host_perf_json_from(&hostperf::snapshot(), total_sim_cycles)

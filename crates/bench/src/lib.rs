@@ -11,6 +11,7 @@ pub mod bench_history;
 pub mod cellcache;
 pub mod cli;
 pub mod events;
+mod fnv;
 pub mod harness;
 pub mod hostperf;
 pub mod json;

@@ -84,7 +84,7 @@ pub const TRAJECTORY: Schema = Schema {
 /// Content-addressed cell-cache entries.
 pub const CELLCACHE: Schema = Schema {
     id: "gvf.cellcache",
-    version: 2,
+    version: 3,
 };
 /// Live JSONL telemetry stream.
 pub const EVENTS: Schema = Schema {

@@ -1,9 +1,11 @@
-//! `hostPerf.cellCache` accounting on resumed runs, end-to-end: a
-//! fresh sweep followed by a `--resume` sweep over the same grid must
-//! leave the process-global cache counters, the per-worker pool
-//! telemetry, and the simulation results all reconciling with each
-//! other — even though the resumed sweep's cells take near-zero busy
-//! time.
+//! `hostPerf.cellCache` accounting across sweeps, end-to-end: two
+//! differently named sweeps over overlapping cells share one cache
+//! directory. The second must serve the overlap from the cache with
+//! results equal to the first's, and the process-global cache counters,
+//! the per-worker pool telemetry and the simulation results must all
+//! reconcile with each other — even though cache hits take near-zero
+//! busy time, and even for a cell that bypasses the cache because it
+//! records a timeline.
 //!
 //! This lives in its own integration-test file on purpose: the cache
 //! counters and the host-perf collector are process-global statics, so
@@ -13,25 +15,26 @@
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::hostperf::host_perf_json;
 use gvf_bench::json::Json;
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{grid, Cell};
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, RunResult, WorkloadConfig, WorkloadKind};
+use gvf_workloads::{WorkloadConfig, WorkloadKind};
 
-fn opts(cache_dir: &std::path::Path, resume: bool) -> HarnessOpts {
+fn opts(cache_dir: &std::path::Path, trace_first_cell: bool) -> HarnessOpts {
     HarnessOpts {
         cfg: WorkloadConfig::tiny(),
         jobs: 1,
         smoke: true,
         quiet: true,
         json_out: None,
-        trace_out: None,
+        // Probes the first cell with a timeline, which bypasses the
+        // cache: it must still count as simulated.
+        trace_out: trace_first_cell.then(|| "unused.trace.json".into()),
         metrics_out: None,
         attrib_out: None,
         profile_out: None,
         // Enables the cycle-audit probe on every cell, so the test also
         // exercises the audit report travelling through the cache.
         audit_out: Some("unused.audit.json".into()),
-        resume,
         no_cache: false,
         cache_dir: Some(cache_dir.to_string_lossy().into_owned()),
         events_out: None,
@@ -47,57 +50,59 @@ fn num(j: &Json, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("cellCache.{key} missing")) as u64
 }
 
-fn sweep(label: &str, opts: &HarnessOpts, cells: &[WorkloadKind]) -> Vec<RunResult> {
-    let cache = opts.cell_cache("cacheacct");
-    run_cells(label, opts, cells, |i, &k| {
-        let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, Strategy::Cuda, &cfg))
-    })
-    .expect_all()
-}
-
 #[test]
-fn cache_counters_and_pool_timers_reconcile_on_resume() {
+fn overlapping_sweeps_share_cells_and_counters_reconcile() {
     let dir = std::env::temp_dir().join(format!("gvf_cellcache_acct_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let cells: Vec<WorkloadKind> = WorkloadKind::EVALUATED.to_vec();
-    let n = cells.len() as u64;
+    let kinds = &WorkloadKind::EVALUATED[..4];
+    let n = kinds.len() as u64;
 
-    // Fresh sweep: write-only cache — every cell simulates and every
-    // cell is persisted.
-    let fresh = sweep("fresh", &opts(&dir, false), &cells);
-    // Resumed sweep: every cell is served from the cache.
-    let resumed = sweep("resumed", &opts(&dir, true), &cells);
+    // Sweep A ("fig1b"-like): the CUDA column. Cell 0 records a
+    // timeline, so it simulates without touching the cache.
+    let cuda: Vec<Cell> = kinds
+        .iter()
+        .map(|&k| Cell::workload(k, Strategy::Cuda))
+        .collect();
+    let a = grid("sweep-a", &opts(&dir, true), &cuda).expect_all();
+    assert!(a[0].obs.is_some(), "cell 0 recorded its timeline");
 
-    // The resumed run reproduces the fresh run exactly — including the
-    // cycle-audit report, which travels *through* the cache.
-    assert_eq!(fresh.len(), resumed.len());
-    for (i, (a, b)) in fresh.iter().zip(&resumed).enumerate() {
-        assert_eq!(a.stats.cycles, b.stats.cycles, "cell {i} cycles");
-        assert!(a.audit.is_some(), "cell {i} lost its audit report");
-        assert_eq!(a.audit, b.audit, "cell {i} audit");
+    // Sweep B, another name and another grid: per workload the SharedOA
+    // baseline, then the CUDA cell sweep A already simulated.
+    let pairs: Vec<Cell> = kinds
+        .iter()
+        .flat_map(|&k| [Strategy::SharedOa, Strategy::Cuda].map(|s| Cell::workload(k, s)))
+        .collect();
+    let b = grid("sweep-b", &opts(&dir, false), &pairs).expect_all();
+
+    // The overlap comes back equal — including the cycle-audit report,
+    // which travels *through* the cache.
+    for (i, (ra, rb)) in a.iter().zip(b.iter().skip(1).step_by(2)).enumerate() {
+        assert_eq!(ra.stats, rb.stats, "workload {i} stats");
+        assert_eq!(ra.checksum, rb.checksum, "workload {i} checksum");
+        assert!(ra.audit.is_some(), "workload {i} lost its audit report");
+        assert_eq!(ra.audit, rb.audit, "workload {i} audit");
     }
 
-    // Counter accounting: n simulated (fresh), n cached (resumed), n
-    // entries written; cached + simulated covers every cell ever run.
-    let total_cycles: u64 = fresh.iter().map(|r| r.stats.cycles).sum();
-    let perf = host_perf_json(total_cycles * 2);
+    // Counter accounting. Sweep A: n simulated, n - 1 written (cell 0
+    // bypassed). Sweep B: n SharedOA cells plus the bypassed CUDA cell
+    // simulated and written, the other n - 1 CUDA cells cached.
+    let total_cycles: u64 = a.iter().chain(&b).map(|r| r.stats.cycles).sum();
+    let perf = host_perf_json(total_cycles);
     let cc = perf.get("cellCache").expect("hostPerf.cellCache");
-    assert_eq!(num(cc, "simulatedCells"), n);
-    assert_eq!(num(cc, "cachedCells"), n);
-    assert_eq!(num(cc, "entriesWritten"), n);
+    assert_eq!(num(cc, "simulatedCells"), n + n + 1);
+    assert_eq!(num(cc, "cachedCells"), n - 1);
+    assert_eq!(num(cc, "entriesWritten"), (n - 1) + n + 1);
 
     // Pool-telemetry accounting: both sweeps recorded, each crediting
     // every cell to exactly one worker, with non-negative idle time
     // (busy + queue-wait never exceeds the pool's wall clock) — the
-    // resumed sweep included, where busy time is near zero.
+    // cache hits included, where busy time is near zero.
     let snap = gvf_sim::hostperf::snapshot();
     assert_eq!(snap.sweeps.len(), 2, "one telemetry record per sweep");
     for s in &snap.sweeps {
-        assert_eq!(s.cells, n, "sweep {} cell count", s.label);
         let credited: u64 = s.pool.workers.iter().map(|w| w.cells).sum();
-        assert_eq!(credited, n, "sweep {} worker cell credit", s.label);
+        assert_eq!(credited, s.cells, "sweep {} worker cell credit", s.label);
         for w in &s.pool.workers {
             assert!(
                 w.busy_ns + w.queue_wait_ns <= s.pool.wall_ns,
@@ -109,8 +114,9 @@ fn cache_counters_and_pool_timers_reconcile_on_resume() {
             );
         }
     }
-    // cachedCells + simulatedCells must equal the telemetry's total.
+    // Every cell either came from the cache or was simulated.
     let telemetry_cells: u64 = snap.sweeps.iter().map(|s| s.cells).sum();
+    assert_eq!(telemetry_cells, n + 2 * n);
     assert_eq!(
         num(cc, "cachedCells") + num(cc, "simulatedCells"),
         telemetry_cells

@@ -1,7 +1,7 @@
 //! End-to-end telemetry: a real (tiny) sweep with an injected panic and
-//! a resumed re-run, all writing one `gvf.events` stream — the stream
+//! a re-run over the same cache, all writing one `gvf.events` stream — the stream
 //! must validate against the lifecycle invariants, its roll-up must
-//! match what actually happened (including cache hits on resume), the
+//! match what actually happened (including the re-run's cache hits), the
 //! flight recorder must capture the dead cell's context, and the
 //! failure manifest must carry worker id, queue wait and the recorder
 //! snapshot.
@@ -15,11 +15,11 @@ use gvf_bench::cli::HarnessOpts;
 use gvf_bench::events;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::failure_manifest;
-use gvf_bench::sweep::run_cells;
+use gvf_bench::sweep::{grid, Cell};
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadConfig, WorkloadKind};
+use gvf_workloads::{WorkloadConfig, WorkloadKind};
 
-fn opts(cache_dir: &std::path::Path, resume: bool, fail_cell: Option<usize>) -> HarnessOpts {
+fn opts(cache_dir: &std::path::Path, fail_cell: Option<usize>) -> HarnessOpts {
     HarnessOpts {
         cfg: WorkloadConfig::tiny(),
         jobs: 3,
@@ -31,7 +31,6 @@ fn opts(cache_dir: &std::path::Path, resume: bool, fail_cell: Option<usize>) -> 
         attrib_out: None,
         profile_out: None,
         audit_out: None,
-        resume,
         no_cache: false,
         cache_dir: Some(cache_dir.to_string_lossy().into_owned()),
         events_out: None, // the sink is installed via events::init below
@@ -61,19 +60,17 @@ fn sweep_telemetry_reconciles_with_what_happened() {
     );
     assert!(events::sink_installed());
 
-    let cells: Vec<WorkloadKind> = WorkloadKind::EVALUATED.to_vec();
+    let cells: Vec<Cell> = WorkloadKind::EVALUATED
+        .map(|k| Cell::workload(k, Strategy::Cuda))
+        .to_vec();
     let n = cells.len();
     assert!(n >= 2, "test needs at least two grid cells");
     let dead = 1usize;
 
     // Sweep 1: cell `dead` dies via the injection flag; the survivors
     // simulate and warm the cache.
-    let o1 = opts(&cache_dir, false, Some(dead));
-    let cache1 = o1.cell_cache("evtest");
-    let run1 = run_cells("evsweep1", &o1, &cells, |i, &k| {
-        let cfg = o1.cfg_for_cell(i);
-        cache1.run(i, &cfg, || run_workload(k, Strategy::Cuda, &cfg))
-    });
+    let o1 = opts(&cache_dir, Some(dead));
+    let run1 = grid("evsweep1", &o1, &cells);
 
     let failures = run1.failures();
     assert_eq!(failures.len(), 1);
@@ -109,14 +106,10 @@ fn sweep_telemetry_reconciles_with_what_happened() {
         .expect("failed entry embeds the flight recorder");
     assert_eq!(embedded.len(), flight.len());
 
-    // Sweep 2: the resumed run — survivors come back as cache hits, the
-    // dead cell simulates for real this time.
-    let o2 = opts(&cache_dir, true, None);
-    let cache2 = o2.cell_cache("evtest");
-    let run2 = run_cells("evsweep2", &o2, &cells, |i, &k| {
-        let cfg = o2.cfg_for_cell(i);
-        cache2.run(i, &cfg, || run_workload(k, Strategy::Cuda, &cfg))
-    });
+    // Sweep 2: the same command again — survivors come back as cache
+    // hits, the dead cell simulates for real this time.
+    let o2 = opts(&cache_dir, None);
+    let run2 = grid("evsweep2", &o2, &cells);
     assert!(run2.failures().is_empty());
     events::run_end("ok");
 
@@ -140,8 +133,8 @@ fn sweep_telemetry_reconciles_with_what_happened() {
     assert_eq!((s2.label.as_str(), s2.total), ("evsweep2", n));
     assert!(s2.ended);
     assert!(s2.failed.is_empty());
-    // Resume: every survivor of sweep 1 is a cache hit; only the
-    // previously-dead cell simulates.
+    // Every survivor of sweep 1 is a cache hit; only the previously-dead
+    // cell simulates.
     assert_eq!(s2.finished, vec![dead]);
     assert_eq!(s2.cached.len(), n - 1);
 

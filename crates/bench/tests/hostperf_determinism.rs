@@ -27,7 +27,6 @@ fn opts() -> HarnessOpts {
         attrib_out: None,
         profile_out: None,
         audit_out: None,
-        resume: false,
         no_cache: false,
         cache_dir: None,
         events_out: None,

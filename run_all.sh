@@ -3,8 +3,7 @@
 # collecting a machine-readable artifact tree under results/.
 #
 #   ./run_all.sh [--jobs N] [--out DIR] [--keep-going] [--smoke]
-#                [--quiet] [--resume | --no-cache] [--samples N]
-#                [--baseline DIR]
+#                [--quiet] [--no-cache] [--samples N] [--baseline DIR]
 #
 # --jobs N is passed through to every harness binary: N concurrent
 # simulations, 0 = all cores, default = all cores. Results are
@@ -22,16 +21,21 @@
 # --quiet trims the tooling chatter: perf_gate PASS/SKIP lines,
 # perf_record append lines and the report progress line are silenced
 # (failures still print, exit codes are unchanged).
-# --resume reads completed cells back from $OUT/.cellcache/ (after an
-# interrupted or failed run) instead of re-simulating; manifests come
-# out byte-identical to an uninterrupted run apart from hostPerf.
+# The binaries share one cell cache, $OUT/.cellcache/, keyed on what
+# each cell simulates: a cell that an earlier binary already simulated
+# (fig7 after fig6, say) is read back instead of re-simulated, and
+# manifests come out byte-identical apart from hostPerf. Entries of
+# another build of the model are misses, so the cache is never stale.
+# An interrupted or failed run resumes by re-running the same command.
 # --no-cache disables the cell cache entirely.
 # --samples N records N wall-clock samples per binary into the
-# trajectory: after the primary sweep, each binary reruns N-1 more
-# times (manifest-only, cache disabled) into $OUT/samples/, and
-# perf_record folds the whole group into one median entry. Default: 3
-# for benchmark-grade runs, 1 under --smoke (smoke samples never enter
-# the baseline anyway).
+# trajectory: after the primary sweep, each binary reruns N times
+# (manifest-only, cache disabled) into $OUT/samples/. The primary
+# manifests carry cache hits, so perf_gate judges the first sample of
+# each binary and perf_record folds all N into one median entry.
+# Default: 3 for benchmark-grade runs, 1 under --smoke (smoke samples
+# never enter the baseline anyway); 0 skips the samples, the gate and
+# the recording.
 # --baseline DIR diffs this run against a previous artifact tree: after
 # validation, diffrun writes $OUT/rundiff.json (gvf.rundiff — semantic /
 # performance / coverage drift, every regression attributed), the
@@ -51,8 +55,10 @@
 # Every artifact is re-parsed by the in-repo validator before the run
 # counts as green, and each events stream is reconciled 1:1 against its
 # binary's manifest.
-# After the sweep, perf_gate judges the run against the recorded
-# BENCH_gvf.json baseline; only a run that passes the gate is folded
+# After the sweep, perf_gate judges the first --no-cache sample of each
+# binary against the recorded BENCH_gvf.json baseline (the primary
+# manifests carry cache hits, which the gate and the trajectory skip);
+# only a run that passes the gate is folded
 # into the trajectory by perf_record (so a regressed run can never
 # become part of its own — or any future — baseline). The report
 # binary then collates everything into $OUT/REPORT.md.
@@ -87,12 +93,10 @@ while [ $# -gt 0 ]; do
       SMOKE_FLAGS=(--smoke); shift ;;
     --quiet)
       QUIET_FLAGS=(--quiet); shift ;;
-    --resume)
-      CACHE_FLAGS=(--resume); shift ;;
     --no-cache)
       CACHE_FLAGS=(--no-cache); shift ;;
     *)
-      echo "error: unknown argument '$1' (usage: $0 [--jobs N] [--out DIR] [--keep-going] [--smoke] [--quiet] [--resume | --no-cache] [--samples N] [--baseline DIR])" >&2; exit 2 ;;
+      echo "error: unknown argument '$1' (usage: $0 [--jobs N] [--out DIR] [--keep-going] [--smoke] [--quiet] [--no-cache] [--samples N] [--baseline DIR])" >&2; exit 2 ;;
   esac
 done
 # Benchmark-grade (non-smoke) runs default to the trajectory's
@@ -151,14 +155,14 @@ run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
       --events-out "$OUT/$b.events.jsonl" \
       "${SMOKE_FLAGS[@]}" "${CACHE_FLAGS[@]}" "${extra[@]}"
   done
-  # Extra wall-clock samples for the trajectory: N-1 manifest-only
+  # Wall-clock samples for the gate and the trajectory: N manifest-only
   # reruns per binary into $OUT/samples/ (a subdirectory, so the
   # validator glob and the report's scan of $OUT never mix them in with
   # the primary artifacts). Cache disabled — a cache-hit sample takes
-  # near-zero wall time and perf_record would rightly skip it.
-  if [ "$SAMPLES" -gt 1 ]; then
+  # near-zero wall time and perf_gate/perf_record would rightly skip it.
+  if [ "$SAMPLES" -gt 0 ]; then
     mkdir -p "$OUT/samples"
-    for s in $(seq 2 "$SAMPLES"); do
+    for s in $(seq 1 "$SAMPLES"); do
       for b in fig1b table1 table2 fig6 fig7 fig8 fig9 fig11 fig12 alloc_init fig10 ablation_lookup generations counters; do
         run_step "$b sample $s" cargo run --release -p gvf-bench --bin "$b" -- \
           --jobs "$JOBS" --json-out "$OUT/samples/$b.s$s.json" --no-cache \
@@ -176,7 +180,7 @@ run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
   fi
   # Cell-cache entries are artifacts too: each carries a content hash
   # that the validator recomputes, so a corrupted or hand-edited entry
-  # is caught here rather than silently resumed into a future manifest.
+  # is caught here rather than silently read into a future manifest.
   if compgen -G "$OUT/.cellcache/*.json" > /dev/null; then
     run_step "validate cell cache" cargo run --release -p gvf-bench --bin validate_json -- "$OUT"/.cellcache/*.json
   fi
@@ -194,8 +198,9 @@ run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
     run_step "status" cargo run --release -p gvf-bench --bin status -- --summary "$OUT/fig7.events.jsonl"
   fi
 
-  # Judge this run against the recorded baseline FIRST, and fold it
-  # into the trajectory only once it passes. Recording first would put
+  # Judge this run's first --no-cache samples against the recorded
+  # baseline FIRST, and fold the samples into the trajectory only once
+  # they pass. Recording first would put
   # the gated sample inside its own baseline (with one prior entry per
   # bin the median becomes the midpoint and the gate mathematically
   # cannot fail), and appending unconditionally would let a persistent
@@ -204,7 +209,7 @@ run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
   # gate skips (never fails) and the first recording stands it up.
   manifests=()
   for b in fig1b table1 table2 fig6 fig7 fig8 fig9 fig11 fig12 alloc_init fig10 ablation_lookup generations counters; do
-    [ -f "$OUT/$b.json" ] && manifests+=("$OUT/$b.json")
+    [ -f "$OUT/samples/$b.s1.json" ] && manifests+=("$OUT/samples/$b.s1.json")
   done
   if [ "${#manifests[@]}" -gt 0 ]; then
     run_step "perf_gate" cargo run --release -p gvf-bench --bin perf_gate -- "${QUIET_FLAGS[@]}" "${manifests[@]}"
@@ -214,14 +219,9 @@ run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
     if grep -qx "perf_gate" "$FAILURES_FILE" 2>/dev/null; then
       echo "run_all.sh: perf_gate failed — not folding this run into BENCH_gvf.json" >&2
     else
-      # The extra --samples reruns join the primary manifests here;
-      # perf_record groups by (generator, config) and records one
-      # median entry per group.
-      rec_manifests=("${manifests[@]}")
-      if compgen -G "$OUT/samples/*.json" > /dev/null; then
-        rec_manifests+=("$OUT"/samples/*.json)
-      fi
-      run_step "perf_record" cargo run --release -p gvf-bench --bin perf_record -- "${QUIET_FLAGS[@]}" "${rec_manifests[@]}"
+      # perf_record groups the samples by (generator, config) and
+      # records one median entry per group.
+      run_step "perf_record" cargo run --release -p gvf-bench --bin perf_record -- "${QUIET_FLAGS[@]}" "$OUT"/samples/*.json
       run_step "validate trajectory" cargo run --release -p gvf-bench --bin validate_json -- BENCH_gvf.json
     fi
   fi
