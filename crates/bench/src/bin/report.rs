@@ -18,7 +18,7 @@
 //! 3. a host-performance summary per run (wall time, throughput, peak
 //!    RSS) from each manifest's `hostPerf` section;
 //! 4. "Where the host time goes": top exclusive-time spans from the
-//!    `gvf.hostprofile` documents — the engine's own flamegraph view;
+//!    `gvf.hostprofile` documents — host time per cell and kernel layer;
 //! 5. "Fast-forward opportunity" from the `gvf.cycleaudit` documents:
 //!    how much simulated time was skippable per cell, with the hard
 //!    cross-check that every audit's epoch classes sum to
@@ -980,14 +980,17 @@ fn main() {
     md.push_str("## Where the host time goes\n\n");
     md.push_str(&absent_notes(&unreadable, "host-profile"));
     if profiles.is_empty() {
-        md.push_str("No host profiles found (run with `--profile-out` to record).\n\n");
+        md.push_str("No host profiles found (run with `--profile-out` to write one).\n\n");
     } else {
         md.push_str(
             "Top spans by exclusive wall time from each binary's \
-             `gvf.hostprofile` document — the engine's self-measured answer \
-             to \"which internal region is the bottleneck\". Paths are \
-             `;`-joined span stacks; the `collapsedStacks` member of each \
-             profile feeds flamegraph tools directly.\n\n",
+             `gvf.hostprofile` document, at kernel granularity: each pool \
+             cell splits into its kernels' functional pass, timing replay \
+             and probe absorption. Paths are `;`-joined span stacks; the \
+             `collapsedStacks` member of each profile feeds flamegraph \
+             tools directly. The cost of each engine layer below kernel \
+             level is the benchmark's per-layer ledger \
+             (`python3 perfbench/run.py --trace 1`).\n\n",
         );
         profiles.sort_by_key(|(generator, _)| {
             let rank = ORDER

@@ -39,9 +39,9 @@ pub struct HarnessOpts {
     /// Write the mechanism-attribution report (`gvf.attribution` v1)
     /// here (`--attrib-out`).
     pub attrib_out: Option<String>,
-    /// Write the host-side span profile (`gvf.hostprofile` v1) here
-    /// (`--profile-out`). Enables [`gvf_sim::spans`] recording for the
-    /// whole process. Wall-clock data: excluded from determinism diffs.
+    /// Write the host-side span profile (`gvf.hostprofile` v2) here
+    /// (`--profile-out`): the [`gvf_sim::spans`] the process recorded.
+    /// Wall-clock data: excluded from determinism diffs.
     pub profile_out: Option<String>,
     /// Write the deterministic cycle-audit report (`gvf.cycleaudit` v1)
     /// here (`--audit-out`). Byte-identical for any `--jobs` value.
@@ -54,7 +54,7 @@ pub struct HarnessOpts {
     /// there are read back instead of re-simulated, so re-running an
     /// interrupted command resumes it (see [`crate::cellcache`]).
     pub cache_dir: Option<String>,
-    /// Write the live `gvf.events` v1 JSONL telemetry stream here
+    /// Write the live `gvf.events` v2 JSONL telemetry stream here
     /// (`--events-out`). Wall-clock data, excluded from the determinism
     /// view; see [`crate::events`].
     pub events_out: Option<String>,
@@ -217,11 +217,6 @@ impl HarnessOpts {
             let seed = cfg.seed;
             cfg = WorkloadConfig::tiny();
             cfg.seed = seed;
-        }
-        if profile_out.is_some() {
-            // Process-wide: spans record from the first kernel on, and
-            // every SimPool worker participates.
-            gvf_sim::spans::enable();
         }
         if let Some(path) = &events_out {
             let bin = std::env::args()

@@ -1,4 +1,4 @@
-//! Live run telemetry: the `gvf.events` v1 structured event stream,
+//! Live run telemetry: the `gvf.events` v2 structured event stream,
 //! flight recorder and stall watchdog.
 //!
 //! Every other observability layer in this repo (probes, `hostPerf`,
@@ -14,10 +14,10 @@
 //!   per-cell lifecycle (`cellScheduled`/`cellStarted` and exactly one
 //!   terminal `cellFinished`/`cellCacheHit`/`cellFailed` per started
 //!   cell, each carrying worker id, queue wait and duration);
-//! - periodic `resource` samples (RSS + CPU from `/proc`, span-registry
-//!   deltas) and `stall` diagnostics from a watchdog thread that flags
-//!   any in-flight cell exceeding `--stall-factor` × the rolling
-//!   upper-quartile non-cached cell time ([`stall_baseline_ms`]),
+//! - periodic `resource` samples (RSS + CPU from `/proc`) and `stall`
+//!   diagnostics from a watchdog thread that flags any in-flight cell
+//!   exceeding `--stall-factor` × the rolling upper-quartile
+//!   non-cached cell time ([`stall_baseline_ms`]),
 //!   attaching every thread's current span stack
 //!   ([`gvf_sim::spans::live_stacks`]) and the engine's global progress
 //!   counters ([`gvf_sim::progress`]);
@@ -126,8 +126,6 @@ struct Inner {
     active: Option<SweepState>,
     run_ended: bool,
     last_resource_ms: u64,
-    last_span_paths: u64,
-    last_span_ns: u64,
 }
 
 fn inner() -> &'static Mutex<Inner> {
@@ -174,11 +172,9 @@ fn dispatch(inner: &mut Inner, e: Json, stderr_line: Option<String>) {
 }
 
 /// Installs the JSONL sink at `path`, writes the `runStart` header
-/// event, enables span live-stack publishing and engine progress
-/// counters (the stall watchdog's data sources) and spawns the watchdog
-/// thread. Called once from flag parsing when `--events-out` is given;
-/// exits non-zero on an unwritable path (fatal misuse, like an
-/// unwritable `--json-out`).
+/// event and spawns the watchdog thread. Called once from flag parsing
+/// when `--events-out` is given; exits non-zero on an unwritable path
+/// (fatal misuse, like an unwritable `--json-out`).
 pub fn init(path: &str, run: &RunInfo) {
     let file = match std::fs::File::create(path) {
         Ok(f) => f,
@@ -187,8 +183,6 @@ pub fn init(path: &str, run: &RunInfo) {
             std::process::exit(1);
         }
     };
-    gvf_sim::spans::enable_live_stacks();
-    gvf_sim::progress::enable();
     {
         let mut inner = inner().lock().expect("events mutex");
         inner.sink = Some(file);
@@ -473,15 +467,11 @@ fn watchdog_tick_at(inner: &mut Inner, t: u64) {
     if inner.run_ended {
         return;
     }
-    // Periodic resource sample: RSS + CPU from /proc, span-registry
-    // deltas since the previous sample.
+    // Periodic resource sample: RSS + CPU from /proc.
     if t.saturating_sub(inner.last_resource_ms) >= RESOURCE_SAMPLE_MS {
         inner.last_resource_ms = t;
-        let spans = gvf_sim::spans::snapshot();
-        let span_paths = spans.len() as u64;
-        let span_ns: u64 = spans.iter().map(|s| s.total_ns).sum();
         let mut e = event("resource", t);
-        match current_rss_bytes() {
+        match gvf_sim::hostperf::current_rss_bytes() {
             Some(rss) => e.set("rssBytes", Json::num_u64(rss)),
             None => e.set("rssBytes", Json::Null),
         };
@@ -489,21 +479,6 @@ fn watchdog_tick_at(inner: &mut Inner, t: u64) {
             Some(cpu) => e.set("cpuMs", Json::num_u64(cpu)),
             None => e.set("cpuMs", Json::Null),
         };
-        e.set(
-            "spans",
-            Json::obj()
-                .with("paths", Json::num_u64(span_paths))
-                .with(
-                    "newPaths",
-                    Json::num_u64(span_paths.saturating_sub(inner.last_span_paths)),
-                )
-                .with(
-                    "deltaNs",
-                    Json::num_u64(span_ns.saturating_sub(inner.last_span_ns)),
-                ),
-        );
-        inner.last_span_paths = span_paths;
-        inner.last_span_ns = span_ns;
         dispatch(inner, e, None);
     }
     // Stall scan.
@@ -578,26 +553,6 @@ fn stall_baseline_ms(durations_ms: &[u64]) -> u64 {
     let mut sorted = durations_ms.to_vec();
     sorted.sort_unstable();
     sorted[((sorted.len() * 3) / 4).min(sorted.len() - 1)]
-}
-
-/// Current resident set size in bytes (`VmRSS` from
-/// `/proc/self/status`; `VmHWM` is the *peak*, which `hostPerf` already
-/// reports — the live sampler wants the current value).
-fn current_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    parse_kb_line(&status, "VmRSS:")
-}
-
-fn parse_kb_line(status: &str, key: &str) -> Option<u64> {
-    let line = status.lines().find(|l| l.starts_with(key))?;
-    let kb: u64 = line
-        .trim_start_matches(key)
-        .trim()
-        .trim_end_matches("kB")
-        .trim()
-        .parse()
-        .ok()?;
-    Some(kb * 1024)
 }
 
 /// Cumulative user+system CPU time of this process in milliseconds,
@@ -1177,13 +1132,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_vm_rss_line() {
-        let status = "Name:\tfig6\nVmRSS:\t  2048 kB\nThreads:\t1\n";
-        assert_eq!(parse_kb_line(status, "VmRSS:"), Some(2048 * 1024));
-        assert_eq!(parse_kb_line("Name:\tx\n", "VmRSS:"), None);
-    }
-
-    #[test]
     fn torn_final_line_is_dropped_but_torn_middle_is_an_error() {
         let good = r#"{"a":1}
 {"b":2}
@@ -1211,9 +1159,10 @@ mod tests {
             stall_factor: DEFAULT_STALL_FACTOR,
         };
         dispatch(&mut inner, run_start_event(&run, 0), None);
-        end_run(&mut inner, "ok", 10);
+        watchdog_tick_at(&mut inner, RESOURCE_SAMPLE_MS);
+        end_run(&mut inner, "ok", RESOURCE_SAMPLE_MS + 10);
         // A resource sample is overdue here: only `run_ended` stops it.
-        watchdog_tick_at(&mut inner, 10 + RESOURCE_SAMPLE_MS);
+        watchdog_tick_at(&mut inner, 2 * RESOURCE_SAMPLE_MS + 10);
         drop(inner);
         let text = std::fs::read_to_string(&path).expect("read stream");
         std::fs::remove_file(&path).ok();
@@ -1224,5 +1173,15 @@ mod tests {
             .and_then(|e| e.get("ev"))
             .and_then(Json::as_str);
         assert_eq!(last, Some("runEnd"));
+        let samples: Vec<&Json> = stream
+            .iter()
+            .filter(|e| e.get("ev").and_then(Json::as_str) == Some("resource"))
+            .collect();
+        assert_eq!(samples.len(), 1, "one sample before runEnd, none after");
+        assert!(samples[0].get("rssBytes").is_some());
+        assert!(
+            samples[0].get("spans").is_none(),
+            "resource samples carry no span deltas"
+        );
     }
 }

@@ -39,7 +39,7 @@
 //!   [`Stats`] cycle counter — and wall-clock-free: serial and parallel
 //!   runs emit byte-identical documents.
 //! - `--profile-out` — the **host span profile** (`gvf.hostprofile`
-//!   v1): the [`gvf_sim::spans`] hierarchical wall-time breakdown of
+//!   v2): the [`gvf_sim::spans`] kernel-level wall-time breakdown of
 //!   this process (inclusive/exclusive ns per span path, plus a
 //!   collapsed-stack rendering for flamegraph tools). Wall-clock data
 //!   through and through — excluded from determinism diffs exactly
@@ -589,7 +589,6 @@ pub fn hostprofile_doc(generator: &str) -> Json {
         .with("schema", Json::str(HOSTPROFILE_SCHEMA))
         .with("version", Json::num_u64(HOSTPROFILE_SCHEMA_VERSION as u64))
         .with("generator", Json::str(generator))
-        .with("enabled", Json::Bool(gvf_sim::spans::enabled()))
         .with("spans", Json::Arr(rows))
         .with(
             "collapsedStacks",

@@ -1413,7 +1413,7 @@ mod tests {
                     "spans",
                     Json::Arr(vec![
                         Json::obj()
-                            .with("path", Json::str("engine.execute"))
+                            .with("path", Json::str("pool.cell;kernel.timing"))
                             .with("exclusiveNs", Json::num_u64(50_000_000)),
                         Json::obj()
                             .with("path", Json::str("sweep.slow_cell_injection"))

@@ -64,7 +64,7 @@ pub const CYCLEAUDIT: Schema = Schema {
 /// Host-side span profile (wall-clock; excluded from determinism).
 pub const HOSTPROFILE: Schema = Schema {
     id: "gvf.hostprofile",
-    version: 1,
+    version: 2,
 };
 /// Chrome trace-event timeline of the probed cell.
 pub const TIMELINE: Schema = Schema {
@@ -89,7 +89,7 @@ pub const CELLCACHE: Schema = Schema {
 /// Live JSONL telemetry stream.
 pub const EVENTS: Schema = Schema {
     id: "gvf.events",
-    version: 1,
+    version: 2,
 };
 /// Run-comparison artifact: semantic / performance / coverage drift
 /// between two result trees (see [`crate::rundiff`]).

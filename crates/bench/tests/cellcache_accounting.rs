@@ -5,12 +5,13 @@
 //! the per-worker pool telemetry and the simulation results must all
 //! reconcile with each other — even though cache hits take near-zero
 //! busy time, and even for a cell that bypasses the cache because it
-//! records a timeline.
+//! records a timeline. The always-on span profile of the same sweeps
+//! must hold kernel-level paths only.
 //!
 //! This lives in its own integration-test file on purpose: the cache
-//! counters and the host-perf collector are process-global statics, so
-//! the test needs a process where no other sweep has ever run. Keep it
-//! the only `#[test]` here.
+//! counters, the host-perf collector and the span registry are
+//! process-global statics, so the test needs a process where no other
+//! sweep has ever run. Keep it the only `#[test]` here.
 
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::hostperf::host_perf_json;
@@ -122,5 +123,39 @@ fn overlapping_sweeps_share_cells_and_counters_reconcile() {
         telemetry_cells
     );
 
+    // Span accounting: recorded without `profile_out` or an events
+    // sink, at kernel granularity only — a pool cell and at most three
+    // kernel spans per timed kernel, never per epoch or per load.
+    let spans = gvf_sim::spans::snapshot();
+    assert!(
+        !spans.is_empty(),
+        "spans recorded with no profile requested"
+    );
+    for s in &spans {
+        assert!(
+            KERNEL_LEVEL_SPANS.contains(&s.path.as_str()),
+            "span path {:?} below kernel granularity",
+            s.path
+        );
+    }
+    let timed_kernels = spans
+        .iter()
+        .find(|s| s.path == "pool.cell;kernel.timing")
+        .map_or(0, |s| s.count);
+    let span_count: u64 = spans.iter().map(|s| s.count).sum();
+    assert!(
+        span_count <= telemetry_cells + 3 * timed_kernels,
+        "{span_count} spans for {telemetry_cells} cells and {timed_kernels} timed kernels"
+    );
+
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every span path a sweep may record.
+const KERNEL_LEVEL_SPANS: [&str; 5] = [
+    "pool.cell",
+    "pool.cell;kernel.functional",
+    "pool.cell;kernel.timing",
+    "pool.cell;kernel.absorb",
+    "pool.cell;sweep.slow_cell_injection",
+];

@@ -1,4 +1,4 @@
-//! Property tests for the `gvf.events` v1 telemetry schema: generated
+//! Property tests for the `gvf.events` v2 telemetry schema: generated
 //! well-formed streams must render compactly (one line per event),
 //! survive the render → parse round trip, and pass
 //! [`gvf_bench::events::validate_stream`] with a roll-up matching the

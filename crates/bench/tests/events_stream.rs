@@ -7,9 +7,8 @@
 //! snapshot.
 //!
 //! This lives in its own integration-test file on purpose: the events
-//! log, the cell-cache counters and the span/progress switches are
-//! process-global, so the test needs a process of its own. Keep it the
-//! only `#[test]` here.
+//! log and the cell-cache counters are process-global, so the test
+//! needs a process of its own. Keep it the only `#[test]` here.
 
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::events;

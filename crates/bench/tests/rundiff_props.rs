@@ -218,7 +218,7 @@ fn injected_slowdown_tops_the_span_movers_and_causes() {
     props!(64, |rng| {
         let spans = [
             "pool.cell",
-            "pool.cell;engine.execute",
+            "pool.cell;kernel.timing",
             "pool.cell;sweep.slow_cell_injection",
             "report.render",
         ];

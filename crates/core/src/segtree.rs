@@ -189,7 +189,6 @@ impl SegmentTree {
     /// Panics if any participating lane's address is outside every range
     /// (the NULL return of Algorithm 1 — a broken allocator/tree).
     pub fn emit_walk(&self, ctx: &mut WarpCtx<'_>, objs: &Lanes<VirtAddr>) -> Lanes<VirtAddr> {
-        let _walk = gvf_sim::spans::span("core.segtree_walk");
         let mut node: [usize; WARP_SIZE] = [0; WARP_SIZE];
         let participating: Vec<usize> = (0..WARP_SIZE)
             .filter(|&i| ctx.is_active(i) && objs[i].is_some())

@@ -348,7 +348,6 @@ impl Gpu {
         kernel: &KernelTrace,
         mut mk: impl FnMut(usize) -> P,
     ) -> (Stats, Vec<P>) {
-        let _ex = crate::spans::span("engine.execute");
         let cfg = &self.cfg;
         let Some((mut sms, mut memsys, base)) = setup(cfg, kernel, &mut mk) else {
             let probes = (0..cfg.num_sms as usize).map(mk).collect();
@@ -363,34 +362,28 @@ impl Gpu {
             let mut live = false;
             let mut issued = false;
             let mut min_next = u64::MAX;
-            {
-                let _pa = crate::spans::span("engine.phase_a");
-                for sm in sms.iter_mut() {
-                    if ff && cycle < sm.ff_until {
-                        // Quiet SM asleep until `ff_until`: replay the
-                        // cached epoch outcome (and the probe hooks a
-                        // ticked epoch would have fired) without
-                        // running the schedulers.
-                        if !P::IS_NOP {
-                            sm.probe.epoch(cycle);
-                            sm.probe.epoch_end(cycle, sm.ff_live, false, sm.ff_until);
-                        }
-                        live |= sm.ff_live;
-                        min_next = min_next.min(sm.ff_until);
-                        continue;
+            for sm in sms.iter_mut() {
+                if ff && cycle < sm.ff_until {
+                    // Quiet SM asleep until `ff_until`: replay the
+                    // cached epoch outcome (and the probe hooks a
+                    // ticked epoch would have fired) without running
+                    // the schedulers.
+                    if !P::IS_NOP {
+                        sm.probe.epoch(cycle);
+                        sm.probe.epoch_end(cycle, sm.ff_live, false, sm.ff_until);
                     }
-                    let out = sm_epoch(cfg, kernel, sm, cycle);
-                    live |= out.live;
-                    issued |= out.issued;
-                    min_next = min_next.min(out.min_next);
+                    live |= sm.ff_live;
+                    min_next = min_next.min(sm.ff_until);
+                    continue;
                 }
+                let out = sm_epoch(cfg, kernel, sm, cycle);
+                live |= out.live;
+                issued |= out.issued;
+                min_next = min_next.min(out.min_next);
             }
-            {
-                let _pb = crate::spans::span("engine.phase_b");
-                for sm in sms.iter_mut() {
-                    if !sm.reqs.is_empty() {
-                        mem_phase_b(cfg, &mut memsys, &mut memstats, sm);
-                    }
+            for sm in sms.iter_mut() {
+                if !sm.reqs.is_empty() {
+                    mem_phase_b(cfg, &mut memsys, &mut memstats, sm);
                 }
             }
             if !live {
@@ -398,7 +391,6 @@ impl Gpu {
             }
             cycle = next_cycle(cycle, issued, min_next);
         }
-        let _fin = crate::spans::span("engine.finish");
         let stats = finish(base, &mut sms, &memsys, &memstats, cycle);
         let probes = sms.into_iter().map(|sm| sm.probe).collect();
         (stats, probes)
@@ -846,7 +838,6 @@ fn issue_load_phase_a<P: Probe>(
     trace_idx: usize,
     pc: usize,
 ) -> u64 {
-    let _lm = crate::spans::span("engine.l1_mshr");
     coalesce(&mut sm.scratch, wt.lanes(m), cfg.sector_bytes);
     let tag_idx = m.tag.index();
     match m.space {
@@ -1068,9 +1059,7 @@ fn finish<P: Probe>(
     stats.l2_hits = memsys.l2.hits();
     let last = sms.iter().map(|s| s.max_retire).max().unwrap_or(cycle);
     stats.cycles = last.max(cycle);
-    if crate::progress::enabled() {
-        crate::progress::kernel_finished(stats.cycles);
-    }
+    crate::progress::kernel_finished(stats.cycles);
     stats
 }
 

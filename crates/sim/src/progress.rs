@@ -11,16 +11,13 @@
 //! forward progress between them; growing counters mean the cell is
 //! slow, not dead.
 //!
-//! Cost model: like [`spans`](crate::spans), recording is **off by
-//! default** behind one relaxed [`AtomicBool`], read once per
-//! `execute` call (not per epoch). When enabled, the engine batches
-//! epoch counts locally and publishes every
-//! [`EPOCH_PUBLISH_BATCH`] epochs, so the hot loop pays one local
-//! increment plus a rare relaxed `fetch_add` — nothing feeds back into
-//! simulated timing, and stdout is untouched (the zero-overhead gate
-//! runs with this disabled).
+//! Cost model: publishing is always on. The engine batches epoch
+//! counts locally and publishes every [`EPOCH_PUBLISH_BATCH`] epochs,
+//! so the hot loop pays one local increment plus a rare relaxed
+//! `fetch_add`, and each finished kernel one more — nothing feeds back
+//! into simulated timing, and stdout is untouched.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How many locally-counted epochs accumulate before the engine
 /// publishes them to the global counter. Large enough that the atomic
@@ -28,23 +25,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// within milliseconds.
 pub const EPOCH_PUBLISH_BATCH: u64 = 1024;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static EPOCHS: AtomicU64 = AtomicU64::new(0);
 static CYCLES: AtomicU64 = AtomicU64::new(0);
 static KERNELS: AtomicU64 = AtomicU64::new(0);
-
-/// Turns progress publishing on, process-wide. Called by the harness
-/// when live telemetry (`--events-out`) is enabled; like
-/// [`spans::enable`](crate::spans::enable) there is no `disable`.
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Whether engines publish progress counters.
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// Adds a batch of advanced epochs (called by the engine's epoch loops,
 /// pre-batched).
@@ -70,7 +53,7 @@ pub struct EngineProgress {
     pub kernels: u64,
 }
 
-/// The current counter values (zeros until [`enable`]d engines run).
+/// The current counter values (zeros until an engine runs).
 pub fn snapshot() -> EngineProgress {
     EngineProgress {
         epochs: EPOCHS.load(Ordering::Relaxed),
@@ -80,37 +63,30 @@ pub fn snapshot() -> EngineProgress {
 }
 
 /// Epoch-batching helper owned by one engine invocation: counts locally
-/// and publishes in [`EPOCH_PUBLISH_BATCH`] chunks. Inert (zero atomic
-/// traffic) when progress publishing was disabled at construction.
+/// and publishes in [`EPOCH_PUBLISH_BATCH`] chunks.
 #[derive(Debug)]
 pub(crate) struct EpochBatcher {
-    track: bool,
     pending: u64,
 }
 
 impl EpochBatcher {
     pub(crate) fn new() -> Self {
-        EpochBatcher {
-            track: enabled(),
-            pending: 0,
-        }
+        EpochBatcher { pending: 0 }
     }
 
     #[inline]
     pub(crate) fn tick(&mut self) {
-        if self.track {
-            self.pending += 1;
-            if self.pending >= EPOCH_PUBLISH_BATCH {
-                add_epochs(self.pending);
-                self.pending = 0;
-            }
+        self.pending += 1;
+        if self.pending >= EPOCH_PUBLISH_BATCH {
+            add_epochs(self.pending);
+            self.pending = 0;
         }
     }
 }
 
 impl Drop for EpochBatcher {
     fn drop(&mut self) {
-        if self.track && self.pending > 0 {
+        if self.pending > 0 {
             add_epochs(self.pending);
         }
     }
@@ -124,23 +100,7 @@ mod tests {
     // assertion is on deltas.
 
     #[test]
-    fn disabled_batcher_publishes_nothing() {
-        if enabled() {
-            return; // another test already enabled publishing
-        }
-        let before = snapshot();
-        {
-            let mut b = EpochBatcher::new();
-            for _ in 0..10 {
-                b.tick();
-            }
-        }
-        assert_eq!(snapshot().epochs, before.epochs);
-    }
-
-    #[test]
-    fn enabled_batcher_publishes_exact_epoch_count() {
-        enable();
+    fn batcher_publishes_exact_epoch_count() {
         let before = snapshot();
         let n = EPOCH_PUBLISH_BATCH * 2 + 7;
         {
@@ -154,7 +114,6 @@ mod tests {
 
     #[test]
     fn kernel_finish_accumulates_cycles() {
-        enable();
         let before = snapshot();
         kernel_finished(123);
         kernel_finished(7);

@@ -1,24 +1,25 @@
-//! Hierarchical host-side span profiler: where does the engine's own
-//! wall-clock time go?
+//! Hierarchical host-side span profiler: where does a sweep's host
+//! time go, kernel by kernel?
 //!
 //! [`hostperf`](crate::hostperf) answers the coarse question (alloc vs
-//! simulate vs setup/report, per-worker busy/idle). This module drills
-//! into the *engine*: RAII scoped timers ([`span`]) form a per-thread
-//! stack whose closed frames accumulate into collapsed call paths
-//! (`"engine.execute;engine.phase_a"`), each with a call count and
+//! simulate vs setup/report, per-worker busy/idle). This module splits
+//! each pool cell by kernel layer: RAII scoped timers ([`span`]) form a
+//! per-thread stack whose closed frames accumulate into collapsed call
+//! paths (`"pool.cell;kernel.timing"`), each with a call count and
 //! inclusive nanoseconds. [`snapshot`] merges every thread's totals,
 //! derives exclusive time (inclusive minus direct children) and returns
 //! the spans sorted by path; [`collapsed_stacks`] renders the standard
 //! `stack value` text that flamegraph tooling consumes directly.
 //!
-//! Cost model: the profiler is **off by default** and gated on one
-//! relaxed [`AtomicBool`] load per [`span`] call (the guard is inert
-//! when disabled — no clock read, no allocation). When [`enable`]d,
-//! each span costs two `Instant` reads plus a hash-map bump on a
-//! thread-local table; the collapsed path is maintained incrementally
-//! so steady-state spans allocate nothing. Instrumentation sites are
-//! chosen at epoch/phase granularity, never per simulated event, and
-//! the probe-overhead span measures the instrumentation itself.
+//! Cost model: recording is always on, so span sites sit at kernel
+//! granularity only (`pool.cell`, `kernel.functional`, `kernel.timing`,
+//! `kernel.absorb`, `sweep.slow_cell_injection`) — a few per cell,
+//! never per epoch or per simulated event. Each span costs two
+//! `Instant` reads, a hash-map bump on a thread-local table and a copy
+//! of the open path into the thread's [`live_stacks`] slot; the
+//! collapsed path is maintained incrementally, so steady-state spans
+//! allocate nothing. Costs below kernel level are the benchmark's
+//! per-layer ledger and the `crates/bench/benches/` harnesses.
 //!
 //! Like `hostPerf`, everything here is host-side wall-clock telemetry:
 //! it never touches simulated [`Stats`](crate::Stats) or stdout, and
@@ -26,54 +27,20 @@
 //! serial-vs-parallel determinism diff by construction (it is a
 //! separate file, not a manifest section).
 //!
-//! Thread lifecycle: worker threads (the engine's scoped phase-A
-//! workers, [`SimPool`](crate::SimPool) workers) flush their local
-//! tables into the global collector automatically when the thread
-//! exits, via the thread-local's `Drop`. The calling thread is flushed
-//! explicitly by [`snapshot`], so harness binaries need no manual
-//! bookkeeping.
+//! Thread lifecycle: [`SimPool`](crate::SimPool) workers flush their
+//! local tables into the global collector when the thread exits, via
+//! the thread-local's `Drop`. The calling thread is flushed explicitly
+//! by [`snapshot`], so harness binaries need no manual bookkeeping.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Separator between frames of a collapsed path (the flamegraph
 /// convention).
 pub const PATH_SEPARATOR: char = ';';
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static LIVE: AtomicBool = AtomicBool::new(false);
-
-/// Turns span recording on, process-wide. Called by the harness when
-/// `--profile-out` is given; there is deliberately no `disable` — the
-/// profile covers the whole run or none of it.
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Whether spans are currently recorded.
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Additionally publishes each thread's **current open span path** to a
-/// process-wide registry readable by [`live_stacks`] — the stall
-/// watchdog's view into what a stuck worker is doing right now (a stuck
-/// thread cannot flush or report on itself). Implies [`enable`]. Like
-/// recording, this is on for the whole run or not at all.
-pub fn enable_live_stacks() {
-    enable();
-    LIVE.store(true, Ordering::Relaxed);
-}
-
-/// Whether live-stack publishing is on.
-#[inline(always)]
-pub fn live_stacks_enabled() -> bool {
-    LIVE.load(Ordering::Relaxed)
-}
 
 /// One thread's published live state: a stable label plus the currently
 /// open collapsed path (kept allocation-free in steady state — the
@@ -91,10 +58,11 @@ fn live_registry() -> &'static LiveRegistry {
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// The current open span path of every registered thread, as
-/// `(thread label, collapsed path)` pairs sorted by label; threads with
-/// no open span are omitted. Empty until [`enable_live_stacks`] and the
-/// first instrumented work. Labels are thread names
+/// The current open span path of every live thread that has opened a
+/// span, as `(thread label, collapsed path)` pairs sorted by label;
+/// threads with no open span are omitted. This is the stall watchdog's
+/// view into what a stuck worker is doing right now (a stuck thread
+/// cannot flush or report on itself). Labels are thread names
 /// (`pool-worker-N`, …) or `thread-<seq>` for unnamed threads.
 pub fn live_stacks() -> Vec<(String, String)> {
     let registry = live_registry().lock().expect("live stack registry");
@@ -145,8 +113,8 @@ struct ThreadSpans {
     marks: Vec<(usize, Instant)>,
     totals: HashMap<String, Totals>,
     /// This thread's slot in the live-stack registry, registered lazily
-    /// on the first span opened while publishing is on; the id keys the
-    /// registry entry for removal on thread exit.
+    /// on the first span opened; the id keys the registry entry for
+    /// removal on thread exit.
     live: Option<(u64, Arc<LiveSlot>)>,
 }
 
@@ -164,9 +132,6 @@ impl ThreadSpans {
     /// (registering on first use). Steady-state cost: one uncontended
     /// lock plus a copy into a reused buffer.
     fn publish_live(&mut self) {
-        if !live_stacks_enabled() {
-            return;
-        }
         if self.live.is_none() {
             static NEXT_ID: AtomicU64 = AtomicU64::new(0);
             let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
@@ -242,8 +207,8 @@ impl ThreadSpans {
 
 impl Drop for ThreadSpans {
     fn drop(&mut self) {
-        // Worker threads (engine scope threads, SimPool workers) merge
-        // their tables here when they exit.
+        // Worker threads (SimPool workers) merge their tables here when
+        // they exit.
         self.flush();
         if let Some((id, _)) = self.live.take() {
             live_registry()
@@ -263,31 +228,22 @@ fn collector() -> &'static Mutex<HashMap<String, Totals>> {
     COLLECTOR.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// RAII guard returned by [`span`]; closes the span on drop. Inert
-/// (`armed == false`) when the profiler was disabled at entry.
+/// RAII guard returned by [`span`]; closes the span on drop.
 #[derive(Debug)]
-pub struct SpanGuard {
-    armed: bool,
-}
+pub struct SpanGuard(());
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.armed {
-            LOCAL.with(|l| l.borrow_mut().close());
-        }
+        LOCAL.with(|l| l.borrow_mut().close());
     }
 }
 
 /// Opens a named span on this thread's stack; the returned guard closes
-/// it when dropped. When the profiler is disabled this is one relaxed
-/// atomic load and nothing else.
+/// it when dropped.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { armed: false };
-    }
     LOCAL.with(|l| l.borrow_mut().open(name));
-    SpanGuard { armed: true }
+    SpanGuard(())
 }
 
 /// Merges this thread's local table into the global collector. Worker
@@ -318,12 +274,9 @@ pub fn snapshot() -> Vec<SpanStat> {
         .collect();
     drop(global);
     stats.sort_by(|a, b| a.path.cmp(&b.path));
-    // Exclusive = inclusive − Σ direct children. Children of a path can
-    // have been recorded on different threads than their parent (the
-    // engine's phase-A spans close on workers while "engine.execute"
-    // closes on the main thread), so this is computed over the merged
-    // table, saturating when a child outlives its parent's measured
-    // window.
+    // Exclusive = inclusive − Σ direct children, computed over the
+    // merged table (a path's totals can come from several threads) and
+    // saturating when a child outlives its parent's measured window.
     let child_ns: HashMap<String, u64> = {
         let mut acc: HashMap<String, u64> = HashMap::new();
         for s in &stats {
@@ -416,27 +369,7 @@ mod tests {
     // every test uses unique span names and filters its snapshot.
 
     #[test]
-    fn disabled_span_records_nothing() {
-        // Never enabled at this point in THIS test's view is not
-        // guaranteed (another test may have enabled the profiler), so
-        // assert the weaker, order-independent property: a name only
-        // ever opened while we can prove recording was off is absent.
-        // Run the guard before any enable() in this module's tests can
-        // be assumed; uniqueness of the name keeps this sound even if
-        // recording was already on — in that case we just skip.
-        if enabled() {
-            return;
-        }
-        {
-            let _g = span("spans_test.disabled_probe");
-        }
-        let snap = snapshot();
-        assert!(!snap.iter().any(|s| s.path.contains("disabled_probe")));
-    }
-
-    #[test]
     fn nested_spans_accumulate_and_derive_exclusive() {
-        enable();
         {
             let _outer = span("spans_test.outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -462,7 +395,6 @@ mod tests {
 
     #[test]
     fn worker_thread_flushes_on_exit() {
-        enable();
         std::thread::spawn(|| {
             let _g = span("spans_test.worker_root");
         })
@@ -474,7 +406,6 @@ mod tests {
 
     #[test]
     fn live_stacks_show_open_spans_and_clear_on_close() {
-        enable_live_stacks();
         let (tx, rx) = std::sync::mpsc::channel::<()>();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
         let worker = std::thread::Builder::new()
@@ -503,7 +434,6 @@ mod tests {
 
     #[test]
     fn collapsed_stack_lines_are_flamegraph_shaped() {
-        enable();
         {
             let _g = span("spans_test.collapse_me");
         }
@@ -530,9 +460,9 @@ mod tests {
 
     #[test]
     fn align_exclusive_zero_fills_and_ranks_by_absolute_delta() {
-        let base = profile(&[("engine.execute", 1_000), ("report", 200)]);
+        let base = profile(&[("kernel.timing", 1_000), ("report", 200)]);
         let cur = profile(&[
-            ("engine.execute", 1_100),
+            ("kernel.timing", 1_100),
             ("report", 200),
             ("sweep.slow_cell_injection", 9_000),
         ]);
@@ -542,7 +472,7 @@ mod tests {
         assert_eq!(deltas[0].baseline_ns, 0);
         assert_eq!(deltas[0].current_ns, 9_000);
         assert_eq!(deltas[0].delta_ns(), 9_000);
-        assert_eq!(deltas[1].path, "engine.execute");
+        assert_eq!(deltas[1].path, "kernel.timing");
         assert_eq!(deltas[1].delta_ns(), 100);
     }
 

@@ -46,7 +46,8 @@
 # embedded gvf.hostperf section), $OUT/<bin>.attrib.json its
 # mechanism-attribution report (gvf.attribution), $OUT/<bin>.profile.json
 # its host-side span profile (gvf.hostprofile — where the wall-clock
-# time went), $OUT/<bin>.audit.json its cycle audit (gvf.cycleaudit —
+# time went, per cell and kernel layer; spans are recorded in every run,
+# so writing the profile costs nothing extra), $OUT/<bin>.audit.json its cycle audit (gvf.cycleaudit —
 # how much simulated time was skippable) and $OUT/<bin>.events.jsonl its
 # live telemetry stream (gvf.events — sweep/cell lifecycle, heartbeats,
 # resource samples; watch a live run with `status --follow`); fig6
