@@ -1,72 +1,56 @@
-//! `gvf.bench-trajectory` v1 — the repo's performance history.
+//! `gvf.bench-trajectory` v2 — the repo's host-performance history.
 //!
-//! The ROADMAP demands a simulator that runs "as fast as the hardware
-//! allows", but until this module the repo had no memory of how fast
-//! that ever was: a perf PR could neither prove it helped nor detect
-//! that it regressed. `BENCH_gvf.json` at the repo root fixes that —
-//! an append-only trajectory of host-throughput samples, one entry per
-//! (figure binary × configuration) per recording, written by the
-//! `perf_record` binary and checked by `perf_gate`:
+//! `BENCH_gvf.json` at the repo root is an append-only list of
+//! benchmark run records. A record is what `python3 perfbench/run.py`
+//! leaves in `.bench_out/runs/<W>-seed<S>-trace<T>.json` (see
+//! `perfbench/README.md`); `perf_record` stores it member for member
+//! and adds the git rev and UTC date it was recorded at, and
+//! `perf_gate` judges new records against the stored ones:
 //!
 //! ```json
 //! {
-//!   "schema": "gvf.bench-trajectory", "version": 1,
+//!   "schema": "gvf.bench-trajectory", "version": 2,
 //!   "entries": [{
-//!     "bin": "fig6", "rev": "0511809", "date": "2026-08-05",
-//!     "samples": 3,
-//!     "config": {"smoke": false, "scale": 8, "iterations": 3},
-//!     "wall_s": 41.2, "cells": 55, "cells_per_sec": 1.33,
-//!     "sim_cycles": 180555444, "sim_cycles_per_sec": 4.4e6,
-//!     "total_instrs": 52000000, "mean_ipc": 0.61
+//!     "rev": "46d07a7", "date": "2026-10-17",
+//!     "workload": "micro-dispatch", "seed": 24301, "seconds": 0,
+//!     "noise": {"loadavg_before": [..], "loadavg_after": [..], "steal_share": 0.003},
+//!     "correct": true, "attempted": 72, "failed": 0,
+//!     "metrics": {"engine.ns_per_instr": {"value": 892.1, "unit": "ns"}, ..}
 //!   }]
 //! }
 //! ```
 //!
 //! Design points:
 //!
-//! - **Samples come from run manifests.** Every figure binary already
-//!   embeds a `hostPerf` section; [`sample_from_manifest`] extracts the
-//!   throughput sample from it, so recording needs no re-run.
-//! - **Median-of-N.** [`record`] groups manifests by (bin, config) and
-//!   stores the *median* of each measure — one slow outlier (a noisy
-//!   neighbour, a cold cache) cannot poison the trajectory.
-//! - **Config-keyed baselines.** Entries carry the simulation config
-//!   (smoke/scale/iterations); [`gate`] only compares runs with
-//!   matching configs, so a smoke run can never be judged against a
-//!   full evaluation.
-//! - **Noise-aware gate.** The allowed slowdown is the larger of a
-//!   fixed relative floor and a multiple of the baseline's own relative
-//!   MAD (median absolute deviation): a naturally noisy baseline
-//!   widens its own tolerance instead of crying wolf. A minimum-sample
-//!   rule skips (never fails) bins with too little history.
-//! - **Timestamps are provenance, not identity.** `rev` and `date`
-//!   describe an entry; they take no part in baseline matching or the
-//!   gate's arithmetic, and the determinism suite pins that down.
-//! - **Benchmark-grade samples only.** Smoke-config runs
-//!   (`config.smoke == true`) and sub-second runs measure startup
-//!   overhead, not simulation throughput: their wall clock is dominated
-//!   by process setup and their relative noise is enormous. Neither
-//!   [`record`] nor [`History::baseline`] will touch them, and [`gate`]
-//!   skips (never judges) such samples — see
-//!   [`sample_is_benchmark_grade`].
-//! - **Gate before record.** A sample must be judged against a
-//!   baseline that does not contain it: folding the gated run in
-//!   first turns a one-entry baseline `[b]` into `[b, x]`, whose
-//!   median and MAD shift exactly fast enough that no slowdown can
-//!   ever fail — and unconditional appending lets a persistent
-//!   regression become the new normal. `run_all.sh` therefore runs
-//!   `perf_gate` first and `perf_record` only on a pass.
+//! - **One instrument.** The records time each layer on the thread CPU
+//!   clock against deterministic work counts. Wall clock on a shared
+//!   host varies 2.7× for identical code, so it judges nothing here.
+//! - **Per-layer judgement.** The gate judges `cpu_s` and each
+//!   `*.ns_per_*` layer row ([`JUDGED_METRICS`]) on its own, so a slowdown
+//!   in one layer cannot hide inside a flat total. An untraced
+//!   (`--trace 0`) record carries `cpu_s`; a traced one the layer rows.
+//! - **Per-metric noise.** Baselines are per (workload, seed, metric).
+//!   The allowed rise is the larger of [`MIN_ALLOWED_RISE`] and
+//!   [`NOISE_MULT`] × the baseline's relative MAD, so a noisy row such as
+//!   `probe.ns_per_instr` widens its own tolerance while a quiet one such
+//!   as `engine.ns_per_instr` keeps the floor. The current value is the
+//!   median of the records given, which absorbs a single outlier run.
+//! - **Only correct runs.** A record whose output check failed
+//!   (`correct` not `true`) fails the gate, and [`record`] refuses it.
+//! - **Timestamps are provenance, not identity.** `rev` and `date` take
+//!   no part in baseline matching or the gate's arithmetic; the
+//!   determinism suite pins that down.
+//! - **Gate before record.** Records must be judged against a baseline
+//!   that does not contain them: folding them in first shifts the median
+//!   and MAD towards them fast enough that their own slowdown passes, and
+//!   unconditional appending lets a persistent regression become the new
+//!   normal. `run_all.sh` therefore runs `perf_gate` first and
+//!   `perf_record` only on a pass.
 //!
-//! The gate judges **simulated-cycles-per-second**, not wall seconds:
-//! it is invariant to how many cells a figure sweeps and degrades
-//! gracefully when a config's workload mix changes. What the gate does
-//! *not* promise: catching regressions smaller than the noise floor,
-//! or comparing across machines — the trajectory is per-checkout
-//! history, not a cross-hardware database (DESIGN.md "Host performance
-//! & trajectory").
+//! The trajectory is per-checkout history, not a cross-hardware
+//! database (DESIGN.md "Host performance & trajectory").
 
 use crate::json::Json;
-use crate::manifest::MANIFEST_SCHEMA;
 use std::io;
 
 /// Trajectory schema identifier.
@@ -75,152 +59,164 @@ pub const TRAJECTORY_SCHEMA: &str = crate::schemas::TRAJECTORY.id;
 pub const TRAJECTORY_SCHEMA_VERSION: u32 = crate::schemas::TRAJECTORY.version;
 /// Where the trajectory lives, relative to the repo root.
 pub const DEFAULT_HISTORY_PATH: &str = "BENCH_gvf.json";
-/// Minimum wall seconds for a sample to count as benchmark-grade; runs
-/// below it are startup-cost measurements, not throughput measurements.
-pub const MIN_BENCH_WALL_S: f64 = 1.0;
-/// Samples per (bin, config) group below which the trajectory's
-/// MAD-based noise estimate is meaningless — the gate falls back to its
-/// fixed threshold. `perf_record` warns when a benchmark-grade entry is
-/// folded from fewer manifests; `run_all.sh --samples` (default 3 for
-/// full-scale runs) records enough to clear it.
-pub const RECOMMENDED_SAMPLES: u64 = 3;
 
-/// Whether a sample is worth folding into (or judging against) the
-/// trajectory: a full (non-smoke) configuration that ran for at least
-/// [`MIN_BENCH_WALL_S`]. Smoke grids finish in milliseconds and their
-/// throughput is all process startup; folding either kind in would
-/// poison every baseline statistic they touch.
-pub fn sample_is_benchmark_grade(s: &Sample) -> bool {
-    !s.config.smoke && s.wall_s >= MIN_BENCH_WALL_S
-}
+/// The metrics the gate judges, all lower-is-better: the untraced
+/// run's CPU time and the traced run's per-layer costs.
+pub const JUDGED_METRICS: [&str; 7] = [
+    "cpu_s",
+    "build.ns_per_object",
+    "functional.ns_per_instr",
+    "engine.ns_per_instr",
+    "probe.ns_per_instr",
+    "kernel.ns_per_instr",
+    "kernel.ns_per_kcycle",
+];
+/// Baseline entries below which a metric is skipped, never failed: a
+/// thinner baseline has no spread to measure.
+pub const MIN_BASELINE: usize = 3;
+/// Smallest relative rise the gate tolerates.
+pub const MIN_ALLOWED_RISE: f64 = 0.20;
+/// How many baseline MADs (relative to the median) of rise to tolerate.
+pub const NOISE_MULT: f64 = 4.0;
 
-/// The simulation-relevant configuration a sample was measured under.
-/// Baselines only form between equal configs.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RunConfig {
-    /// CI smoke mode (tiny grid)?
-    pub smoke: bool,
-    /// Workload scale multiplier.
-    pub scale: u64,
-    /// Measured kernel iterations.
-    pub iterations: u64,
-}
-
-/// One throughput measurement extracted from a run manifest.
+/// One benchmark run record, checked to hold every member `run.py`
+/// writes: `workload`, `seed`, `seconds`, `noise`, `correct`,
+/// `attempted`, `failed` and `metrics` (each metric a `value` with its
+/// `unit`). Members are kept in their original order, so a stored
+/// record renders as it was read.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Sample {
-    /// Generator (figure binary) name.
-    pub bin: String,
-    /// Config the run used.
-    pub config: RunConfig,
-    /// Host wall seconds of the whole run.
-    pub wall_s: f64,
-    /// Grid cells simulated.
-    pub cells: u64,
-    /// Cells per host second.
-    pub cells_per_sec: f64,
-    /// Simulated cycles summed over all cells.
-    pub sim_cycles: u64,
-    /// Simulated cycles per host second — the gate's metric.
-    pub sim_cycles_per_sec: f64,
-    /// Dynamic warp instructions summed over all cells.
-    pub total_instrs: u64,
-    /// Mean per-cell IPC (simulated headline, for the trend plot).
-    pub mean_ipc: f64,
+pub struct Record(Json);
+
+impl Record {
+    /// Checks `doc`'s shape and wraps it.
+    pub fn from_json(doc: Json) -> Result<Record, String> {
+        let member = |key: &str| {
+            doc.get(key)
+                .ok_or_else(|| format!("record: missing {key:?}"))
+        };
+        let typed = |key: &str, ok: fn(&Json) -> bool, what: &str| -> Result<(), String> {
+            if ok(member(key)?) {
+                Ok(())
+            } else {
+                Err(format!("record: {key:?} is not {what}"))
+            }
+        };
+        typed("workload", |v| v.as_str().is_some(), "a string")?;
+        typed(
+            "seed",
+            |v| v.as_num().is_some_and(|n| n >= 0.0 && n.fract() == 0.0),
+            "a seed",
+        )?;
+        typed("seconds", |v| v.as_num().is_some(), "a number")?;
+        typed("noise", |v| matches!(v, Json::Obj(_)), "an object")?;
+        typed("correct", |v| v.as_bool().is_some(), "a bool")?;
+        typed("attempted", |v| v.as_num().is_some(), "a number")?;
+        typed("failed", |v| v.as_num().is_some(), "a number")?;
+        let Json::Obj(metrics) = member("metrics")? else {
+            return Err("record: \"metrics\" is not an object".into());
+        };
+        for (name, m) in metrics {
+            if m.get("value").and_then(Json::as_num).is_none()
+                || m.get("unit").and_then(Json::as_str).is_none()
+            {
+                return Err(format!(
+                    "record: metric {name:?} lacks a numeric value or a unit"
+                ));
+            }
+        }
+        Ok(Record(doc))
+    }
+
+    /// Reads and checks the record at `path`.
+    pub fn load(path: &str) -> Result<Record, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        Record::from_json(doc).map_err(|e| format!("{path}: {e}"))
+    }
+
+    /// The record as read.
+    fn json(&self) -> &Json {
+        &self.0
+    }
+
+    /// The benchmark workload (`eval-grid`, `micro-dispatch`, ...).
+    pub fn workload(&self) -> &str {
+        self.0
+            .get("workload")
+            .and_then(Json::as_str)
+            .expect("checked in from_json")
+    }
+
+    /// The workload seed.
+    pub fn seed(&self) -> u64 {
+        self.0
+            .get("seed")
+            .and_then(Json::as_num)
+            .expect("checked in from_json") as u64
+    }
+
+    /// Whether every output check of the run passed.
+    pub fn correct(&self) -> bool {
+        self.0
+            .get("correct")
+            .and_then(Json::as_bool)
+            .expect("checked in from_json")
+    }
+
+    /// A metric's value, if the run reported it.
+    pub fn metric(&self, name: &str) -> Option<f64> {
+        self.0.get("metrics")?.get(name)?.get("value")?.as_num()
+    }
 }
 
-/// One recorded point of the trajectory: a [`Sample`] (median over
-/// `samples` manifests) plus provenance.
+/// One recorded point of the trajectory: a run record plus provenance.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrajectoryEntry {
-    /// Git revision the sample was taken at (provenance only).
+    /// Git revision the record was taken at (provenance only).
     pub rev: String,
-    /// UTC date the sample was taken (provenance only).
+    /// UTC date the record was taken (provenance only).
     pub date: String,
-    /// How many manifests the medians were taken over.
-    pub samples: u64,
-    /// The recorded measurement.
-    pub sample: Sample,
-}
-
-fn get<'a>(doc: &'a Json, key: &str, what: &str) -> Result<&'a Json, String> {
-    doc.get(key)
-        .ok_or_else(|| format!("{what}: missing {key:?}"))
-}
-
-fn num(doc: &Json, key: &str, what: &str) -> Result<f64, String> {
-    get(doc, key, what)?
-        .as_num()
-        .ok_or_else(|| format!("{what}: {key:?} is not a number"))
-}
-
-fn num_u64(doc: &Json, key: &str, what: &str) -> Result<u64, String> {
-    Ok(num(doc, key, what)? as u64)
-}
-
-fn string(doc: &Json, key: &str, what: &str) -> Result<String, String> {
-    Ok(get(doc, key, what)?
-        .as_str()
-        .ok_or_else(|| format!("{what}: {key:?} is not a string"))?
-        .to_string())
-}
-
-impl RunConfig {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("smoke", Json::Bool(self.smoke))
-            .with("scale", Json::num_u64(self.scale))
-            .with("iterations", Json::num_u64(self.iterations))
-    }
-
-    fn from_json(doc: &Json) -> Result<RunConfig, String> {
-        Ok(RunConfig {
-            smoke: get(doc, "smoke", "config")?
-                .as_bool()
-                .ok_or("config: \"smoke\" is not a bool")?,
-            scale: num_u64(doc, "scale", "config")?,
-            iterations: num_u64(doc, "iterations", "config")?,
-        })
-    }
+    /// The run record.
+    pub record: Record,
 }
 
 impl TrajectoryEntry {
     fn to_json(&self) -> Json {
-        Json::obj()
-            .with("bin", Json::str(&self.sample.bin))
-            .with("rev", Json::str(&self.rev))
-            .with("date", Json::str(&self.date))
-            .with("samples", Json::num_u64(self.samples))
-            .with("config", self.sample.config.to_json())
-            .with("wall_s", Json::Num(self.sample.wall_s))
-            .with("cells", Json::num_u64(self.sample.cells))
-            .with("cells_per_sec", Json::Num(self.sample.cells_per_sec))
-            .with("sim_cycles", Json::num_u64(self.sample.sim_cycles))
-            .with(
-                "sim_cycles_per_sec",
-                Json::Num(self.sample.sim_cycles_per_sec),
-            )
-            .with("total_instrs", Json::num_u64(self.sample.total_instrs))
-            .with("mean_ipc", Json::Num(self.sample.mean_ipc))
+        let Json::Obj(members) = self.record.json() else {
+            unreachable!("from_json admits objects only")
+        };
+        let provenance = [("rev", &self.rev), ("date", &self.date)];
+        let provenance = provenance.map(|(k, v)| (k.to_string(), Json::str(v)));
+        Json::Obj(
+            provenance
+                .into_iter()
+                .chain(members.iter().cloned())
+                .collect(),
+        )
     }
 
     fn from_json(doc: &Json) -> Result<TrajectoryEntry, String> {
-        Ok(TrajectoryEntry {
-            rev: string(doc, "rev", "entry")?,
-            date: string(doc, "date", "entry")?,
-            samples: num_u64(doc, "samples", "entry")?,
-            sample: Sample {
-                bin: string(doc, "bin", "entry")?,
-                config: RunConfig::from_json(get(doc, "config", "entry")?)?,
-                wall_s: num(doc, "wall_s", "entry")?,
-                cells: num_u64(doc, "cells", "entry")?,
-                cells_per_sec: num(doc, "cells_per_sec", "entry")?,
-                sim_cycles: num_u64(doc, "sim_cycles", "entry")?,
-                sim_cycles_per_sec: num(doc, "sim_cycles_per_sec", "entry")?,
-                total_instrs: num_u64(doc, "total_instrs", "entry")?,
-                mean_ipc: num(doc, "mean_ipc", "entry")?,
-            },
-        })
+        let Json::Obj(members) = doc else {
+            return Err("entry: not an object".into());
+        };
+        let text = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("entry: {key:?} missing or not a string"))
+        };
+        let (rev, date) = (text("rev")?, text("date")?);
+        let record = Record::from_json(Json::Obj(
+            members
+                .iter()
+                .filter(|(k, _)| k != "rev" && k != "date")
+                .cloned()
+                .collect(),
+        ))?;
+        if !record.correct() {
+            return Err(format!("entry {rev}: a record with \"correct\": false"));
+        }
+        Ok(TrajectoryEntry { rev, date, record })
     }
 }
 
@@ -234,28 +230,32 @@ pub struct History {
 impl History {
     /// Serializes to the versioned `gvf.bench-trajectory` document.
     pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("schema", Json::str(TRAJECTORY_SCHEMA))
-            .with("version", Json::num_u64(TRAJECTORY_SCHEMA_VERSION as u64))
-            .with(
-                "entries",
-                Json::Arr(self.entries.iter().map(TrajectoryEntry::to_json).collect()),
-            )
+        crate::schemas::TRAJECTORY.header().with(
+            "entries",
+            Json::Arr(self.entries.iter().map(TrajectoryEntry::to_json).collect()),
+        )
     }
 
-    /// Parses a `gvf.bench-trajectory` document, checking the header.
+    /// Parses a `gvf.bench-trajectory` document, checking the header
+    /// and every entry.
     pub fn from_json(doc: &Json) -> Result<History, String> {
-        let schema = string(doc, "schema", "trajectory")?;
-        if schema != TRAJECTORY_SCHEMA {
-            return Err(format!("trajectory: unexpected schema {schema:?}"));
+        let header = |key: &str| doc.get(key).map_or("none".into(), Json::render_compact);
+        if doc.get("schema").and_then(Json::as_str) != Some(TRAJECTORY_SCHEMA) {
+            return Err(format!(
+                "trajectory: unexpected schema {}",
+                header("schema")
+            ));
         }
-        let version = num_u64(doc, "version", "trajectory")?;
-        if version != TRAJECTORY_SCHEMA_VERSION as u64 {
-            return Err(format!("trajectory: unsupported version {version}"));
+        if doc.get("version").and_then(Json::as_num) != Some(TRAJECTORY_SCHEMA_VERSION as f64) {
+            return Err(format!(
+                "trajectory: unsupported version {}",
+                header("version")
+            ));
         }
-        let entries = get(doc, "entries", "trajectory")?
-            .as_arr()
-            .ok_or("trajectory: \"entries\" is not an array")?;
+        let entries = doc
+            .get("entries")
+            .and_then(Json::as_arr)
+            .ok_or("trajectory: \"entries\" missing or not an array")?;
         Ok(History {
             entries: entries
                 .iter()
@@ -287,104 +287,50 @@ impl History {
         std::fs::rename(&tmp, path)
     }
 
-    /// The baseline for a sample: every recorded **benchmark-grade**
-    /// entry of the same bin under the same config, oldest first.
-    /// Provenance fields play no part in the match. Smoke or sub-second
-    /// entries (from histories written before the grade rule, or edited
-    /// by hand) are ignored rather than trusted.
-    pub fn baseline(&self, sample: &Sample) -> Vec<&TrajectoryEntry> {
+    /// The baseline of one metric: its value in every entry of the same
+    /// workload and seed that reports it, oldest first. Provenance plays
+    /// no part in the match.
+    fn baseline(&self, workload: &str, seed: u64, metric: &str) -> Vec<f64> {
         self.entries
             .iter()
-            .filter(|e| {
-                e.sample.bin == sample.bin
-                    && e.sample.config == sample.config
-                    && sample_is_benchmark_grade(&e.sample)
-            })
+            .filter(|e| e.record.workload() == workload && e.record.seed() == seed)
+            .filter_map(|e| e.record.metric(metric))
             .collect()
     }
 }
 
-/// Whether this manifest's run served any cell from the content-
-/// addressed cell cache (`hostPerf.cellCache.cachedCells > 0`). Such a
-/// run's wall-clock throughput is inflated — the cached cells cost no
-/// simulation time — so `perf_record` and `perf_gate` must skip it:
-/// folding it into `BENCH_gvf.json` would poison the baseline and fail
-/// honest future runs.
-pub fn manifest_used_cell_cache(doc: &Json) -> bool {
-    doc.get("hostPerf")
-        .and_then(|h| h.get("cellCache"))
-        .and_then(|c| c.get("cachedCells"))
-        .and_then(Json::as_num)
-        .is_some_and(|n| n > 0.0)
-}
-
-/// Extracts the throughput [`Sample`] from a `gvf.run-manifest`
-/// document (requires the `hostPerf` section every binary now embeds).
-pub fn sample_from_manifest(doc: &Json) -> Result<Sample, String> {
-    let schema = string(doc, "schema", "manifest")?;
-    if schema != MANIFEST_SCHEMA {
-        return Err(format!("not a run manifest (schema {schema:?})"));
-    }
-    let bin = string(doc, "generator", "manifest")?;
-    let config = get(doc, "config", "manifest")?;
-    let config = RunConfig {
-        smoke: get(config, "smoke", "manifest config")?
-            .as_bool()
-            .ok_or("manifest config: \"smoke\" is not a bool")?,
-        scale: num_u64(config, "scale", "manifest config")?,
-        iterations: num_u64(config, "iterations", "manifest config")?,
+/// The command line `perf_gate` and `perf_record` share:
+/// `[--history PATH] [--quiet] RECORD...`. Returns the history path,
+/// the quiet flag and the record paths; exits 2 on a usage error.
+pub fn tool_args(tool: &str) -> (String, bool, Vec<String>) {
+    let usage = || -> ! {
+        eprintln!("usage: {tool} [--history PATH] [--quiet] RECORD...");
+        std::process::exit(2);
     };
-    let host = get(doc, "hostPerf", "manifest")
-        .map_err(|_| "manifest has no hostPerf section (pre-telemetry build?)".to_string())?;
-    let throughput = get(host, "throughput", "hostPerf")?;
-    let cells_records = get(doc, "cells", "manifest")?
-        .as_arr()
-        .ok_or("manifest: \"cells\" is not an array")?;
-    let mut total_instrs = 0u64;
-    let mut ipc_sum = 0.0;
-    let mut ipc_cells = 0u64;
-    for cell in cells_records {
-        if let Some(stats) = cell.get("stats") {
-            for key in ["instrs_mem", "instrs_compute", "instrs_ctrl"] {
-                total_instrs += num_u64(stats, key, "cell stats")?;
-            }
-        }
-        // Average only over cells that actually report an IPC; a cell
-        // without one must not drag the mean toward zero.
-        if let Some(ipc) = cell
-            .get("derived")
-            .and_then(|d| d.get("ipc"))
-            .and_then(Json::as_num)
-        {
-            ipc_sum += ipc;
-            ipc_cells += 1;
+    let (mut history, mut quiet, mut records) =
+        (DEFAULT_HISTORY_PATH.to_string(), false, Vec::new());
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--history" => history = args.next().unwrap_or_else(|| usage()),
+            "--quiet" => quiet = true,
+            _ => records.push(arg),
         }
     }
-    Ok(Sample {
-        bin,
-        config,
-        wall_s: num(host, "wall_s", "hostPerf")?,
-        cells: num_u64(throughput, "cells", "throughput")?,
-        cells_per_sec: num(throughput, "cells_per_sec", "throughput")?,
-        sim_cycles: num_u64(throughput, "sim_cycles", "throughput")?,
-        sim_cycles_per_sec: num(throughput, "sim_cycles_per_sec", "throughput")?,
-        total_instrs,
-        mean_ipc: if ipc_cells > 0 {
-            ipc_sum / ipc_cells as f64
-        } else {
-            0.0
-        },
-    })
+    if records.is_empty() {
+        usage();
+    }
+    (history, quiet, records)
 }
 
 /// Median of `xs`; `0` on empty input. Even-length inputs average the
 /// middle pair.
-pub fn median(xs: &[f64]) -> f64 {
+fn median(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
     let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in samples"));
+    sorted.sort_by(f64::total_cmp);
     let mid = sorted.len() / 2;
     if sorted.len() % 2 == 1 {
         sorted[mid]
@@ -395,180 +341,149 @@ pub fn median(xs: &[f64]) -> f64 {
 
 /// Median absolute deviation — the robust spread estimate behind the
 /// gate's noise model.
-pub fn mad(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
+fn mad(xs: &[f64]) -> f64 {
     let med = median(xs);
-    let deviations: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
-    median(&deviations)
+    median(&xs.iter().map(|x| (x - med).abs()).collect::<Vec<_>>())
 }
 
-/// Folds `samples` into `history`: manifests are grouped by
-/// (bin, config) in first-seen order, each group becomes one entry
-/// holding the **median** of every measure over its N samples. Samples
-/// that are not benchmark-grade ([`sample_is_benchmark_grade`]) are
-/// silently dropped — a smoke run can never enter the trajectory.
-/// Returns the entries appended.
+/// Appends each record to `history` as one entry. Refuses the whole
+/// batch, appending nothing, if any record's output check failed: a
+/// wrong result's timing is no baseline.
 pub fn record(
     history: &mut History,
-    samples: &[Sample],
+    records: &[Record],
     rev: &str,
     date: &str,
-) -> Vec<TrajectoryEntry> {
-    let mut groups: Vec<(&Sample, Vec<&Sample>)> = Vec::new();
-    for s in samples.iter().filter(|s| sample_is_benchmark_grade(s)) {
-        match groups
-            .iter_mut()
-            .find(|(head, _)| head.bin == s.bin && head.config == s.config)
-        {
-            Some((_, members)) => members.push(s),
-            None => groups.push((s, vec![s])),
-        }
+) -> Result<(), String> {
+    if let Some(bad) = records.iter().find(|r| !r.correct()) {
+        return Err(format!(
+            "{} seed {}: the run failed its output check (\"correct\": false)",
+            bad.workload(),
+            bad.seed()
+        ));
     }
-    let mut appended = Vec::new();
-    for (head, members) in groups {
-        let med = |f: fn(&Sample) -> f64| median(&members.iter().map(|s| f(s)).collect::<Vec<_>>());
-        let entry = TrajectoryEntry {
+    history
+        .entries
+        .extend(records.iter().map(|r| TrajectoryEntry {
             rev: rev.to_string(),
             date: date.to_string(),
-            samples: members.len() as u64,
-            sample: Sample {
-                bin: head.bin.clone(),
-                config: head.config.clone(),
-                wall_s: med(|s| s.wall_s),
-                cells: med(|s| s.cells as f64) as u64,
-                cells_per_sec: med(|s| s.cells_per_sec),
-                sim_cycles: med(|s| s.sim_cycles as f64) as u64,
-                sim_cycles_per_sec: med(|s| s.sim_cycles_per_sec),
-                total_instrs: med(|s| s.total_instrs as f64) as u64,
-                mean_ipc: med(|s| s.mean_ipc),
-            },
-        };
-        appended.push(entry.clone());
-        history.entries.push(entry);
-    }
-    appended
+            record: r.clone(),
+        }));
+    Ok(())
 }
 
-/// Gate thresholds. The allowed relative slowdown is
-/// `max(max_regress, noise_mult × MAD/median)` of the baseline.
-#[derive(Clone, Debug)]
-pub struct GateConfig {
-    /// Fixed relative floor on the allowed slowdown (`0.35` = 35%).
-    pub max_regress: f64,
-    /// How many baseline-MADs of slowdown to tolerate.
-    pub noise_mult: f64,
-    /// Baselines backed by fewer underlying samples than this are
-    /// skipped, not failed. Counted over [`TrajectoryEntry::samples`]
-    /// — a single entry folded from a 3-sample run satisfies a minimum
-    /// of 3.
-    pub min_samples: usize,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig {
-            // Wide floor by default: single-machine wall-clock noise
-            // easily reaches tens of percent, and a missed minor
-            // regression costs less than a flaky CI gate.
-            max_regress: 0.35,
-            noise_mult: 4.0,
-            // A 1-sample baseline has MAD 0 and all the noise of a
-            // single wall-clock measurement; arming against it
-            // contradicts the documented skip rule, so demand 3.
-            min_samples: 3,
-        }
-    }
-}
-
-/// What the gate concluded for one sample.
+/// What the gate concluded for one (workload, seed, metric).
 #[derive(Clone, Debug, PartialEq)]
-pub enum GateVerdict {
-    /// Throughput within tolerance of the baseline median.
+pub enum Verdict {
+    /// Within tolerance of the baseline median.
     Pass {
-        /// Current simulated cycles per host second.
+        /// Median over the records judged.
         current: f64,
-        /// Baseline median of the same measure.
+        /// Baseline median.
         baseline: f64,
-        /// Relative slowdown that would have been tolerated.
-        allowed_drop: f64,
+        /// Relative rise that would have been tolerated.
+        allowed_rise: f64,
     },
-    /// Throughput regressed beyond the allowed drop.
+    /// Rose beyond the allowed rise.
     Fail {
-        /// Current simulated cycles per host second.
+        /// Median over the records judged.
         current: f64,
-        /// Baseline median of the same measure.
+        /// Baseline median.
         baseline: f64,
-        /// Relative slowdown that was tolerated.
-        allowed_drop: f64,
+        /// Relative rise that was tolerated.
+        allowed_rise: f64,
     },
-    /// No comparable baseline (new bin, new config, or below the
-    /// minimum-sample rule) — never a failure.
+    /// A record of this workload and seed failed its output check.
+    Incorrect,
+    /// Fewer than [`MIN_BASELINE`] baseline entries, or a degenerate
+    /// baseline — never a failure.
     Skip {
-        /// Why the sample was not judged.
+        /// Why the metric was not judged.
         reason: String,
     },
 }
 
-/// Judges `sample` against its baseline in `history`. Samples that are
-/// not benchmark-grade are skipped, never judged: a smoke run's
-/// throughput says nothing about the simulator.
-pub fn gate(history: &History, sample: &Sample, cfg: &GateConfig) -> GateVerdict {
-    if !sample_is_benchmark_grade(sample) {
-        return GateVerdict::Skip {
-            reason: format!(
-                "{}: not benchmark-grade ({})",
-                sample.bin,
-                if sample.config.smoke {
-                    "smoke config".to_string()
-                } else {
-                    format!("wall {:.3}s < {MIN_BENCH_WALL_S}s", sample.wall_s)
+/// One line of the gate's output.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Judgement {
+    /// Benchmark workload.
+    pub workload: String,
+    /// Workload seed.
+    pub seed: u64,
+    /// The judged metric; `correct` for an output-check failure.
+    pub metric: String,
+    /// The conclusion.
+    pub verdict: Verdict,
+}
+
+/// Judges `records` against `history`, per (workload, seed) in
+/// first-seen order: one [`Verdict::Incorrect`] per record whose output
+/// check failed, then one verdict per judged metric the group's correct
+/// records report. The current value is the median over those records;
+/// it fails when it exceeds the baseline median by more than
+/// `max(MIN_ALLOWED_RISE, NOISE_MULT × MAD/median)`.
+pub fn gate(history: &History, records: &[Record]) -> Vec<Judgement> {
+    let mut groups: Vec<(&str, u64)> = Vec::new();
+    for r in records {
+        if !groups.contains(&(r.workload(), r.seed())) {
+            groups.push((r.workload(), r.seed()));
+        }
+    }
+    let mut out = Vec::new();
+    for (workload, seed) in groups {
+        let judgement = |metric: &str, verdict| Judgement {
+            workload: workload.to_string(),
+            seed,
+            metric: metric.to_string(),
+            verdict,
+        };
+        let group: Vec<&Record> = records
+            .iter()
+            .filter(|r| r.workload() == workload && r.seed() == seed)
+            .collect();
+        for _ in group.iter().filter(|r| !r.correct()) {
+            out.push(judgement("correct", Verdict::Incorrect));
+        }
+        for metric in JUDGED_METRICS {
+            let values: Vec<f64> = group
+                .iter()
+                .filter(|r| r.correct())
+                .filter_map(|r| r.metric(metric))
+                .collect();
+            if values.is_empty() {
+                continue;
+            }
+            let base = history.baseline(workload, seed, metric);
+            let base_median = median(&base);
+            let verdict = if base.len() < MIN_BASELINE {
+                Verdict::Skip {
+                    reason: format!("{} baseline entries (minimum {MIN_BASELINE})", base.len()),
                 }
-            ),
-        };
-    }
-    let baseline = history.baseline(sample);
-    // Count underlying samples, not entries: `record` folds an N-sample
-    // run into ONE entry with `samples: N`.
-    let backing: u64 = baseline.iter().map(|e| e.samples.max(1)).sum();
-    if backing < cfg.min_samples.max(1) as u64 {
-        return GateVerdict::Skip {
-            reason: format!(
-                "{}: {} baseline sample{} for this config (minimum {})",
-                sample.bin,
-                backing,
-                if backing == 1 { "" } else { "s" },
-                cfg.min_samples.max(1)
-            ),
-        };
-    }
-    let rates: Vec<f64> = baseline
-        .iter()
-        .map(|e| e.sample.sim_cycles_per_sec)
-        .collect();
-    let base_median = median(&rates);
-    if base_median <= 0.0 || sample.sim_cycles_per_sec <= 0.0 {
-        return GateVerdict::Skip {
-            reason: format!("{}: degenerate throughput (zero rate)", sample.bin),
-        };
-    }
-    let noise = mad(&rates) / base_median;
-    let allowed_drop = cfg.max_regress.max(cfg.noise_mult * noise);
-    let current = sample.sim_cycles_per_sec;
-    if current < base_median * (1.0 - allowed_drop) {
-        GateVerdict::Fail {
-            current,
-            baseline: base_median,
-            allowed_drop,
-        }
-    } else {
-        GateVerdict::Pass {
-            current,
-            baseline: base_median,
-            allowed_drop,
+            } else if base_median <= 0.0 {
+                Verdict::Skip {
+                    reason: "degenerate baseline (median ≤ 0)".into(),
+                }
+            } else {
+                let current = median(&values);
+                let allowed_rise = MIN_ALLOWED_RISE.max(NOISE_MULT * mad(&base) / base_median);
+                if current > base_median * (1.0 + allowed_rise) {
+                    Verdict::Fail {
+                        current,
+                        baseline: base_median,
+                        allowed_rise,
+                    }
+                } else {
+                    Verdict::Pass {
+                        current,
+                        baseline: base_median,
+                        allowed_rise,
+                    }
+                }
+            };
+            out.push(judgement(metric, verdict));
         }
     }
+    out
 }
 
 /// `YYYY-MM-DD` (UTC) for an epoch timestamp — Howard Hinnant's
@@ -615,33 +530,70 @@ pub fn today_utc() -> String {
 mod tests {
     use super::*;
 
-    fn sample(bin: &str, rate: f64) -> Sample {
-        Sample {
-            bin: bin.to_string(),
-            config: RunConfig {
-                // Benchmark-grade: record/baseline/gate all ignore
-                // smoke samples, so the fixtures must be full runs.
-                smoke: false,
-                scale: 1,
-                iterations: 2,
-            },
-            wall_s: 2.0,
-            cells: 10,
-            cells_per_sec: 5.0,
-            sim_cycles: 1_000_000,
-            sim_cycles_per_sec: rate,
-            total_instrs: 500_000,
-            mean_ipc: 0.5,
+    /// A record shaped like `run.py`'s, with the given metrics.
+    fn rec(workload: &str, correct: bool, metrics: &[(&str, f64)]) -> Record {
+        let mut m = Json::obj();
+        for (name, value) in metrics {
+            m.set(
+                name,
+                Json::obj()
+                    .with("value", Json::Num(*value))
+                    .with("unit", Json::str("ns")),
+            );
         }
+        Record::from_json(
+            Json::obj()
+                .with("workload", Json::str(workload))
+                .with("seed", Json::num_u64(24301))
+                .with("seconds", Json::Num(0.0))
+                .with("noise", Json::obj().with("steal_share", Json::Num(0.0)))
+                .with("correct", Json::Bool(correct))
+                .with("attempted", Json::num_u64(72))
+                .with("failed", Json::num_u64(u64::from(!correct)))
+                .with("metrics", m),
+        )
+        .expect("well-formed record")
     }
 
-    fn entry(bin: &str, rate: f64, rev: &str, date: &str) -> TrajectoryEntry {
-        TrajectoryEntry {
-            rev: rev.to_string(),
-            date: date.to_string(),
-            samples: 1,
-            sample: sample(bin, rate),
+    /// A traced and an untraced record of `workload` with every judged
+    /// metric at `scale` × a fixed base.
+    fn pair(workload: &str, scale: f64) -> Vec<Record> {
+        let traced: Vec<(&str, f64)> = JUDGED_METRICS[1..]
+            .iter()
+            .map(|&m| (m, 100.0 * scale))
+            .collect();
+        vec![
+            rec(workload, true, &[("cpu_s", 4.0 * scale)]),
+            rec(workload, true, &traced),
+        ]
+    }
+
+    fn history_of(runs: &[Vec<Record>]) -> History {
+        let mut h = History::default();
+        for (i, r) in runs.iter().enumerate() {
+            record(&mut h, r, &format!("rev{i}"), "2026-10-17").expect("correct records");
         }
+        h
+    }
+
+    /// Three recordings of [`pair`] at 1×: the smallest armed baseline.
+    fn armed(workload: &str) -> History {
+        history_of(&[
+            pair(workload, 1.0),
+            pair(workload, 1.0),
+            pair(workload, 1.0),
+        ])
+    }
+
+    fn all_skipped(js: &[Judgement]) -> bool {
+        js.iter().all(|j| matches!(j.verdict, Verdict::Skip { .. }))
+    }
+
+    fn failed_metrics(js: &[Judgement]) -> Vec<&str> {
+        js.iter()
+            .filter(|j| matches!(j.verdict, Verdict::Fail { .. } | Verdict::Incorrect))
+            .map(|j| j.metric.as_str())
+            .collect()
     }
 
     #[test]
@@ -655,218 +607,132 @@ mod tests {
     }
 
     #[test]
-    fn record_takes_group_medians() {
-        let mut h = History::default();
-        let samples = vec![
-            sample("fig6", 100.0),
-            sample("fig6", 300.0),
-            sample("fig6", 200.0),
-            sample("fig7", 50.0),
-        ];
-        let appended = record(&mut h, &samples, "abc", "2026-08-05");
-        assert_eq!(appended.len(), 2);
-        assert_eq!(appended[0].sample.bin, "fig6");
-        assert_eq!(appended[0].samples, 3);
-        assert_eq!(appended[0].sample.sim_cycles_per_sec, 200.0);
-        assert_eq!(appended[1].sample.bin, "fig7");
-        assert_eq!(h.entries.len(), 2);
-    }
-
-    /// Smoke-config and sub-second samples never enter the trajectory:
-    /// `record` drops them, `baseline` refuses pre-existing ones, and
-    /// `gate` skips rather than judges them.
-    #[test]
-    fn smoke_and_subsecond_samples_are_excluded_everywhere() {
-        let mut smoke = sample("fig6", 9e9);
-        smoke.config.smoke = true;
-        let mut blink = sample("fig6", 9e9);
-        blink.wall_s = 0.2;
-        assert!(!sample_is_benchmark_grade(&smoke));
-        assert!(!sample_is_benchmark_grade(&blink));
-        assert!(sample_is_benchmark_grade(&sample("fig6", 1.0)));
-
-        // record(): only the benchmark-grade sample is folded in, and
-        // the bogus 9e9 rates leave no trace in the group median.
-        let mut h = History::default();
-        let appended = record(
-            &mut h,
-            &[smoke.clone(), sample("fig6", 500.0), blink.clone()],
-            "abc",
-            "2026-08-08",
-        );
-        assert_eq!(appended.len(), 1);
-        assert_eq!(appended[0].samples, 1);
-        assert_eq!(appended[0].sample.sim_cycles_per_sec, 500.0);
-
-        // record() of nothing but dross appends nothing at all.
-        assert!(record(&mut h, &[smoke.clone(), blink.clone()], "abc", "2026-08-08").is_empty());
-
-        // baseline(): entries that predate the grade rule (or were
-        // edited by hand) are ignored even when the config matches.
-        let mut tainted = History::default();
-        tainted
-            .entries
-            .push(entry("fig6", 9e9, "old", "2020-01-01"));
-        tainted.entries[0].sample.wall_s = 0.1;
-        let probe = sample("fig6", 400.0);
-        assert!(tainted.baseline(&probe).is_empty());
-
-        // gate(): a non-grade probe is skipped, never judged — even
-        // against a baseline that would otherwise fail it hard.
-        let cfg = GateConfig::default();
-        let mut strong = History::default();
-        record(
-            &mut strong,
-            &[
-                sample("fig6", 1000.0),
-                sample("fig6", 1000.0),
-                sample("fig6", 1000.0),
-            ],
-            "abc",
-            "2026-08-08",
-        );
-        let mut slow_smoke = sample("fig6", 1.0);
-        slow_smoke.config.smoke = true;
-        assert!(matches!(
-            gate(&strong, &slow_smoke, &cfg),
-            GateVerdict::Skip { .. }
-        ));
-        let mut slow_blink = sample("fig6", 1.0);
-        slow_blink.wall_s = 0.5;
-        assert!(matches!(
-            gate(&strong, &slow_blink, &cfg),
-            GateVerdict::Skip { .. }
-        ));
-    }
-
-    #[test]
-    fn gate_passes_fresh_baseline_and_fails_synthetic_slowdown() {
-        let mut h = History::default();
-        // Three samples fold into ONE entry with samples=3 — enough
-        // backing for the default min_samples of 3.
-        record(
-            &mut h,
-            &[
-                sample("fig6", 1000.0),
-                sample("fig6", 1000.0),
-                sample("fig6", 1000.0),
-            ],
-            "abc",
-            "2026-08-05",
-        );
-        let cfg = GateConfig::default();
-        // The very sample just recorded must pass against itself.
-        assert!(matches!(
-            gate(&h, &sample("fig6", 1000.0), &cfg),
-            GateVerdict::Pass { .. }
-        ));
-        // A synthetic 10× slowdown must fail.
-        assert!(matches!(
-            gate(&h, &sample("fig6", 100.0), &cfg),
-            GateVerdict::Fail { .. }
-        ));
-        // Slightly slower than the floor allows: still a pass.
-        assert!(matches!(
-            gate(&h, &sample("fig6", 700.0), &cfg),
-            GateVerdict::Pass { .. }
-        ));
-    }
-
-    #[test]
-    fn gate_skips_missing_or_mismatched_baselines() {
-        let h = History::default();
-        let cfg = GateConfig::default();
-        assert!(matches!(
-            gate(&h, &sample("fig6", 1000.0), &cfg),
-            GateVerdict::Skip { .. }
-        ));
-        // Same bin, different config → no baseline.
-        let mut h = History::default();
-        record(&mut h, &[sample("fig6", 1000.0)], "abc", "2026-08-05");
-        let mut full = sample("fig6", 100.0);
-        full.config.smoke = false;
-        assert!(matches!(gate(&h, &full, &cfg), GateVerdict::Skip { .. }));
-        // Minimum-sample rule at the default of 3: a 1-sample baseline
-        // (MAD 0) must be skipped, not armed against…
-        assert!(matches!(
-            gate(&h, &sample("fig6", 100.0), &cfg),
-            GateVerdict::Skip { .. }
-        ));
-        // …and a 2-sample baseline as well, whether the samples arrive
-        // as two entries or would fold into one.
-        record(&mut h, &[sample("fig6", 990.0)], "def", "2026-08-05");
-        assert!(matches!(
-            gate(&h, &sample("fig6", 100.0), &cfg),
-            GateVerdict::Skip { .. }
-        ));
-        // The third sample arms the gate: the slowdown now fails.
-        record(&mut h, &[sample("fig6", 1010.0)], "ghi", "2026-08-05");
-        assert!(matches!(
-            gate(&h, &sample("fig6", 100.0), &cfg),
-            GateVerdict::Fail { .. }
-        ));
-        // A single entry whose `samples` field records a folded
-        // 3-sample run satisfies the minimum on its own.
-        let mut folded = History::default();
-        let mut e = entry("fig6", 1000.0, "abc", "2026-08-05");
-        e.samples = 3;
-        folded.entries.push(e);
-        assert!(matches!(
-            gate(&folded, &sample("fig6", 100.0), &cfg),
-            GateVerdict::Fail { .. }
-        ));
-    }
-
-    #[test]
-    fn noisy_baseline_widens_its_own_tolerance() {
-        let mut h = History::default();
-        // Relative MAD = 0.2; with noise_mult 4 the allowed drop is 80%.
-        for rate in [800.0, 1000.0, 1200.0] {
-            h.entries.push(entry("fig6", rate, "r", "d"));
-        }
-        let cfg = GateConfig {
-            max_regress: 0.1,
-            noise_mult: 4.0,
-            min_samples: 1,
+    fn malformed_records_are_rejected() {
+        let Json::Obj(members) = rec("eval-grid", true, &[("cpu_s", 1.0)]).json().clone() else {
+            unreachable!()
         };
-        match gate(&h, &sample("fig6", 500.0), &cfg) {
-            GateVerdict::Pass { allowed_drop, .. } => {
-                assert!((allowed_drop - 0.8).abs() < 1e-9);
-            }
-            v => panic!("expected pass, got {v:?}"),
+        let without = |drop: &str| -> Json {
+            Json::Obj(members.iter().filter(|(k, _)| k != drop).cloned().collect())
+        };
+        for drop in ["workload", "seed", "correct", "metrics"] {
+            assert!(
+                Record::from_json(without(drop)).is_err(),
+                "accepted a record without {drop}"
+            );
         }
-        assert!(matches!(
-            gate(&h, &sample("fig6", 100.0), &cfg),
-            GateVerdict::Fail { .. }
-        ));
+        // A metric must carry its value and unit, not a bare number.
+        let bare = without("metrics").with("metrics", Json::obj().with("cpu_s", Json::Num(1.0)));
+        assert!(Record::from_json(bare).is_err());
+    }
+
+    /// Every judged metric ×10 fails on every one of them; the records
+    /// the baseline was built from pass.
+    #[test]
+    fn tenfold_slowdown_fails_every_judged_metric() {
+        let h = armed("eval-grid");
+        assert!(failed_metrics(&gate(&h, &pair("eval-grid", 1.0))).is_empty());
+        let verdicts = gate(&h, &pair("eval-grid", 10.0));
+        assert_eq!(verdicts.len(), JUDGED_METRICS.len());
+        assert_eq!(failed_metrics(&verdicts), JUDGED_METRICS.to_vec());
+    }
+
+    /// +30 % in the engine alone, with `cpu_s` flat, fails on exactly
+    /// `engine.ns_per_instr` — the slowdown a whole-run gate lets
+    /// through.
+    #[test]
+    fn engine_only_slowdown_fails_on_its_layer() {
+        let engine = |ns: f64| {
+            vec![
+                rec("micro-dispatch", true, &[("cpu_s", 4.0)]),
+                rec(
+                    "micro-dispatch",
+                    true,
+                    &[("engine.ns_per_instr", ns), ("kernel.ns_per_instr", 1000.0)],
+                ),
+            ]
+        };
+        let h = history_of(&[engine(880.0), engine(892.0), engine(905.0)]);
+        let mut current = engine(892.0 * 1.3);
+        current.extend(engine(892.0 * 1.28));
+        current.extend(engine(892.0 * 1.32));
+        assert_eq!(failed_metrics(&gate(&h, &current)), ["engine.ns_per_instr"]);
+    }
+
+    /// A noisy row widens its own tolerance: `probe.ns_per_instr`
+    /// spread over 72–140 ns (MAD/median 18 %) passes a +48 % reading
+    /// that the 20 % floor alone would fail.
+    #[test]
+    fn probe_row_inside_a_wide_baseline_mad_passes() {
+        let probe = |ns: f64| vec![rec("micro-dispatch", true, &[("probe.ns_per_instr", ns)])];
+        let h = history_of(&[probe(72.0), probe(88.0), probe(140.0)]);
+        match &gate(&h, &probe(130.0))[..] {
+            [Judgement {
+                verdict: Verdict::Pass { allowed_rise, .. },
+                ..
+            }] => {
+                assert!((allowed_rise - 4.0 * 16.0 / 88.0).abs() < 1e-9);
+            }
+            other => panic!("expected one pass, got {other:?}"),
+        }
+        assert_eq!(
+            failed_metrics(&gate(&h, &probe(250.0))),
+            ["probe.ns_per_instr"]
+        );
+    }
+
+    #[test]
+    fn incorrect_records_are_refused_by_record_and_failed_by_gate() {
+        let mut h = armed("eval-grid");
+        let before = h.clone();
+        let mut batch = pair("eval-grid", 1.0);
+        batch.push(rec("eval-grid", false, &[("cpu_s", 4.0)]));
+        assert!(record(&mut h, &batch, "bad", "2026-10-17").is_err());
+        assert_eq!(h, before, "a refused batch must append nothing");
+        // The gate fails the wrong run even though its timing is fine.
+        let verdicts = gate(&h, &batch);
+        assert_eq!(failed_metrics(&verdicts), ["correct"]);
+        assert!(verdicts
+            .iter()
+            .any(|j| matches!(j.verdict, Verdict::Pass { .. })));
+        // A stored entry claiming a failed run does not decode either.
+        let mut doc = h.to_json().render();
+        doc = doc.replacen("\"correct\": true", "\"correct\": false", 1);
+        assert!(History::from_json(&Json::parse(&doc).expect("parse")).is_err());
+    }
+
+    #[test]
+    fn thin_baselines_are_skipped_never_failed() {
+        let slow = pair("eval-grid", 10.0);
+        let mut runs = Vec::new();
+        for n in 0..MIN_BASELINE {
+            let verdicts = gate(&history_of(&runs), &slow);
+            assert!(all_skipped(&verdicts), "{n} baseline entries must skip");
+            runs.push(pair("eval-grid", 1.0));
+        }
+        // The third entry arms the gate.
+        assert_eq!(
+            failed_metrics(&gate(&history_of(&runs), &slow)).len(),
+            JUDGED_METRICS.len()
+        );
+        // Another workload's or seed's entries are no baseline.
+        assert!(all_skipped(&gate(&armed("micro-dispatch"), &slow)));
     }
 
     #[test]
     fn gate_must_run_before_record_to_catch_regressions() {
         // The pipeline contract run_all.sh relies on: judged against a
-        // pristine baseline, a 10× slowdown fails…
-        let cfg = GateConfig::default();
-        let mut h = History::default();
-        record(
-            &mut h,
-            &[
-                sample("fig6", 1000.0),
-                sample("fig6", 1000.0),
-                sample("fig6", 1000.0),
-            ],
-            "base",
-            "2026-08-01",
-        );
-        let slow = sample("fig6", 100.0);
-        assert!(matches!(gate(&h, &slow, &cfg), GateVerdict::Fail { .. }));
-        // …but once the regressed run is folded into its own baseline
-        // the group [1000, 100] has median 550 and MAD 450, the
-        // noise-widened tolerance exceeds 100%, and the identical
-        // slowdown sails through. This is why recording happens only
-        // after a pass — pin the failure mode so nobody "simplifies"
-        // the ordering back.
-        record(&mut h, std::slice::from_ref(&slow), "regr", "2026-08-02");
-        assert!(matches!(gate(&h, &slow, &cfg), GateVerdict::Pass { .. }));
+        // pristine baseline, three 10× records fail…
+        let mut h = armed("eval-grid");
+        let slow: Vec<Record> = (0..3).flat_map(|_| pair("eval-grid", 10.0)).collect();
+        assert_eq!(failed_metrics(&gate(&h, &slow)).len(), JUDGED_METRICS.len());
+        // …but once they are folded into their own baseline, each
+        // metric's values are three at 1× and three at 10×: the median
+        // sits halfway, the MAD spans the gap, the noise-widened
+        // tolerance exceeds 300 % and the identical slowdown sails
+        // through. This is why recording happens only after a pass —
+        // pin the failure mode so nobody "simplifies" the ordering back.
+        record(&mut h, &slow, "regr", "2026-10-18").expect("correct records");
+        assert!(failed_metrics(&gate(&h, &slow)).is_empty());
     }
 
     #[test]
@@ -876,8 +742,7 @@ mod tests {
             std::process::id()
         ));
         let path = path.to_str().expect("utf-8 temp path").to_string();
-        let mut h = History::default();
-        h.entries.push(entry("fig6", 42.5, "abc1234", "2026-08-05"));
+        let h = history_of(&[pair("eval-grid", 1.0), pair("micro-dispatch", 2.5)]);
         h.save(&path).expect("save");
         // The temp file must not survive a successful save.
         assert!(!std::path::Path::new(&format!("{path}.tmp")).exists());
@@ -886,26 +751,44 @@ mod tests {
     }
 
     #[test]
-    fn provenance_fields_do_not_affect_the_gate() {
-        let cfg = GateConfig::default();
-        let mut a = History::default();
-        let mut b = History::default();
-        a.entries.push(entry("fig6", 1000.0, "aaaa", "2020-01-01"));
-        b.entries.push(entry("fig6", 1000.0, "bbbb", "2026-08-05"));
-        let probe = sample("fig6", 900.0);
-        assert_eq!(gate(&a, &probe, &cfg), gate(&b, &probe, &cfg));
+    fn other_versions_are_refused_even_when_empty() {
+        for version in [1, 99] {
+            let doc = Json::obj()
+                .with("schema", Json::str(TRAJECTORY_SCHEMA))
+                .with("version", Json::num_u64(version))
+                .with("entries", Json::Arr(Vec::new()));
+            assert!(
+                History::from_json(&doc).is_err(),
+                "accepted version {version}"
+            );
+        }
+        assert_eq!(
+            History::from_json(&History::default().to_json()),
+            Ok(History::default())
+        );
     }
 
+    /// The gate's metrics are the benchmark's, and lower is better for
+    /// each: `BENCHMARK.json` at the repo root must say so.
     #[test]
-    fn history_round_trips_through_json() {
-        let mut h = History::default();
-        h.entries
-            .push(entry("fig6", 123.25, "abc1234", "2026-08-05"));
-        h.entries
-            .push(entry("table1", 7.5, "abc1234", "2026-08-05"));
-        let doc = h.to_json();
-        let parsed = Json::parse(&doc.render()).expect("parse");
-        assert_eq!(History::from_json(&parsed).expect("decode"), h);
+    fn judged_metrics_are_lower_is_better_in_benchmark_json() {
+        let doc =
+            Json::parse(include_str!("../../../BENCHMARK.json")).expect("BENCHMARK.json parses");
+        let declared: Vec<&Json> = ["end_to_end", "per_layer"]
+            .iter()
+            .flat_map(|k| doc.get(k).and_then(Json::as_arr).expect("metric lists"))
+            .collect();
+        for metric in JUDGED_METRICS {
+            let m = declared
+                .iter()
+                .find(|m| m.get("name").and_then(Json::as_str) == Some(metric))
+                .unwrap_or_else(|| panic!("{metric} is not in BENCHMARK.json"));
+            assert_eq!(
+                m.get("better").and_then(Json::as_str),
+                Some("lower"),
+                "{metric}"
+            );
+        }
     }
 
     #[test]

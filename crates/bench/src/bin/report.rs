@@ -33,9 +33,10 @@
 //! 8. "What changed since the baseline": every `gvf.rundiff`
 //!    run-comparison artifact found in the results dir (see
 //!    [`gvf_bench::rundiff`]) rendered as per-run verdicts plus top
-//!    attributed causes, and the latest-vs-previous trajectory movement
-//!    per binary;
-//! 9. the recent benchmark trajectory from `BENCH_gvf.json`.
+//!    attributed causes;
+//! 9. the recent benchmark trajectory from `BENCH_gvf.json`: the last
+//!    run records with their CPU time and engine and kernel cost per
+//!    instruction.
 //!
 //! Unreadable or unrecognized files are reported and skipped — a
 //! partial `run_all.sh --keep-going` run still gets a report of
@@ -618,9 +619,8 @@ fn absent_notes(unreadable: &[(String, String)], family: &str) -> String {
 /// The "What changed since the baseline" section: every `gvf.rundiff`
 /// artifact found in the results dir (e.g. `rundiff.json` from
 /// `run_all.sh --baseline`), rendered as its per-run verdicts plus the
-/// top attributed causes, followed by the latest-vs-previous trajectory
-/// movement per benchmarked binary.
-fn baseline_section(rundiffs: &[(String, Json)], history: Option<&History>) -> String {
+/// top attributed causes.
+fn baseline_section(rundiffs: &[(String, Json)]) -> String {
     let mut md = String::new();
     if rundiffs.is_empty() {
         md.push_str(
@@ -645,51 +645,6 @@ fn baseline_section(rundiffs: &[(String, Json)], history: Option<&History>) -> S
                 md.push_str(&format!("- {}\n", scalar(c)));
             }
         }
-        md.push('\n');
-    }
-    // Trajectory movement: latest vs previous entry per binary.
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    if let Some(history) = history {
-        let mut bins: Vec<&str> = history
-            .entries
-            .iter()
-            .map(|e| e.sample.bin.as_str())
-            .collect();
-        bins.sort_unstable();
-        bins.dedup();
-        for bin in bins {
-            let of_bin: Vec<_> = history
-                .entries
-                .iter()
-                .filter(|e| e.sample.bin == bin)
-                .collect();
-            let [.., prev, last] = of_bin.as_slice() else {
-                continue;
-            };
-            rows.push(vec![
-                bin.to_string(),
-                format!("{} ({})", fmt_num(prev.sample.sim_cycles_per_sec), prev.rev),
-                format!("{} ({})", fmt_num(last.sample.sim_cycles_per_sec), last.rev),
-                if prev.sample.sim_cycles_per_sec > 0.0 {
-                    format!(
-                        "x{:.2}",
-                        last.sample.sim_cycles_per_sec / prev.sample.sim_cycles_per_sec
-                    )
-                } else {
-                    "-".into()
-                },
-            ]);
-        }
-    }
-    if !rows.is_empty() {
-        md.push_str(
-            "Trajectory movement (latest vs previous recorded benchmark per \
-             binary; gate metric: simulated cycles per host second):\n\n",
-        );
-        md.push_str(&markdown_table(
-            &["bin", "previous", "latest", "ratio"],
-            &rows,
-        ));
         md.push('\n');
     }
     md
@@ -1148,26 +1103,21 @@ fn main() {
         md.push('\n');
     }
 
-    let history = History::load(&history_path);
-
     md.push_str("## What changed since the baseline\n\n");
     md.push_str(
         "Differential observability: every `gvf.rundiff` run-comparison \
          artifact under the results dir (produced by `run_all.sh \
-         --baseline DIR` or `diffrun`), plus the latest movement in the \
-         benchmark trajectory.\n\n",
+         --baseline DIR` or `diffrun`).\n\n",
     );
-    md.push_str(&baseline_section(
-        &rundiffs,
-        history.as_ref().ok().filter(|h| !h.entries.is_empty()),
-    ));
+    md.push_str(&baseline_section(&rundiffs));
 
     md.push_str("## Benchmark trajectory\n\n");
-    match &history {
+    match History::load(&history_path) {
         Ok(history) if !history.entries.is_empty() => {
             md.push_str(&format!(
-                "Last {} of {} entries in `{}` (gate metric: simulated \
-                 cycles per host second).\n\n",
+                "Last {} of {} benchmark run records in `{}` (CPU-clock \
+                 metrics from `perfbench/run.py`; blank where a run does \
+                 not report the metric).\n\n",
                 history.entries.len().min(20),
                 history.entries.len(),
                 history_path
@@ -1176,17 +1126,26 @@ fn main() {
             let rows: Vec<Vec<String>> = tail
                 .iter()
                 .map(|e| {
+                    let metric = |name| e.record.metric(name).map(fmt_num).unwrap_or_default();
                     vec![
                         e.date.clone(),
                         e.rev.clone(),
-                        e.sample.bin.clone(),
-                        fmt_num(e.sample.sim_cycles_per_sec),
-                        e.samples.to_string(),
+                        e.record.workload().to_string(),
+                        metric("cpu_s"),
+                        metric("engine.ns_per_instr"),
+                        metric("kernel.ns_per_instr"),
                     ]
                 })
                 .collect();
             md.push_str(&markdown_table(
-                &["date", "rev", "bin", "sim cycles/s", "samples"],
+                &[
+                    "date",
+                    "rev",
+                    "workload",
+                    "cpu_s",
+                    "engine.ns_per_instr",
+                    "kernel.ns_per_instr",
+                ],
                 &rows,
             ));
             md.push('\n');

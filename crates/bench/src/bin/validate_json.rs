@@ -171,15 +171,7 @@ fn check(doc: &Json, schema: &str) -> Result<(), String> {
             // JSONL and is detected before whole-file parsing.
             events::validate_stream(std::slice::from_ref(doc)).map(|_| ())
         }
-        TRAJECTORY_SCHEMA => {
-            let entries = arr_len("entries").ok_or("trajectory without an entries array")?;
-            // A freshly bootstrapped history may be empty; entries that
-            // do exist must decode.
-            if entries > 0 {
-                gvf_bench::bench_history::History::from_json(doc)?;
-            }
-            Ok(())
-        }
+        TRAJECTORY_SCHEMA => gvf_bench::bench_history::History::from_json(doc).map(|_| ()),
         s if s == schemas::RUNDIFF.id => rundiff::check_doc(doc),
         other => Err(format!("unknown schema {other:?}")),
     }

@@ -10,8 +10,11 @@
 //!   [`crate::manifest::strip_host_perf`] and `validate_json
 //!   --det-diff`);
 //! - nothing here ever reaches stdout;
-//! - throughput figures (cells/sec, simulated cycles/sec) are the
-//!   quantities `perf_record` tracks over time in `BENCH_gvf.json`.
+//! - throughput figures (cells/sec, simulated cycles/sec) describe this
+//!   run only: the performance history in `BENCH_gvf.json` is measured
+//!   by the repository benchmark on the CPU clock (see
+//!   [`crate::bench_history`]), because wall clock on a shared host is
+//!   too noisy to compare runs by.
 //!
 //! Schema fields (v1):
 //!

@@ -2,17 +2,15 @@
 //!
 //! One binary per table and figure of the paper's evaluation; see
 //! `DESIGN.md` §3 for the experiment index and `EXPERIMENTS.md` for
-//! paper-vs-measured results. The library part hosts shared report
-//! formatting used by the binaries plus [`harness`], the in-repo
-//! micro-benchmark driver the `benches/` targets run on (the workspace
-//! builds offline, so Criterion is not a dependency).
+//! paper-vs-measured results. The library part hosts what the binaries
+//! share: the sweep driver, run manifests and their schemas, the cell
+//! cache, telemetry, report formatting and the benchmark trajectory.
 
 pub mod bench_history;
 pub mod cellcache;
 pub mod cli;
 pub mod events;
 mod fnv;
-pub mod harness;
 pub mod hostperf;
 pub mod json;
 pub mod manifest;

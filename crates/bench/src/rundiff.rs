@@ -1062,74 +1062,6 @@ pub fn check_doc(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Single-run cause attribution (perf_gate's failure output)
-
-/// Derives the sibling artifact path `X.<suffix>` for manifest `X.json`.
-pub fn sibling(manifest_path: &str, suffix: &str) -> String {
-    let stem = manifest_path.strip_suffix(".json").unwrap_or(manifest_path);
-    format!("{stem}{suffix}")
-}
-
-/// Up to three human-readable performance-cause lines for a run, read
-/// from the artifacts next to its manifest (span profile, cycle audit,
-/// attribution). Used by `perf_gate` so a throughput failure names
-/// *where* the time goes instead of only the ratio; absent artifacts
-/// simply contribute no line.
-pub fn attributed_causes(manifest_path: &str) -> Vec<String> {
-    let mut causes = Vec::new();
-    let load = |suffix: &str| -> Option<Json> {
-        let p = sibling(manifest_path, suffix);
-        let text = std::fs::read_to_string(&p).ok()?;
-        Json::parse(&text).ok()
-    };
-    if let Some(profile) = load(".profile.json") {
-        let mut spans = profile_spans(&profile);
-        spans.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let total: u64 = spans.iter().map(|(_, ns)| ns).sum();
-        if let Some((path, ns)) = spans.first() {
-            if *ns > 0 && total > 0 {
-                causes.push(format!(
-                    "hottest host span: {} ({:.2}s exclusive, {:.0}% of profiled time)",
-                    path,
-                    *ns as f64 / 1e9,
-                    100.0 * *ns as f64 / total as f64
-                ));
-            }
-        }
-    }
-    if let Some(audit) = load(".audit.json") {
-        let sums = audit_class_sums(&audit);
-        let total: u64 = sums.iter().sum();
-        if total > 0 {
-            let (slot, &count) = sums
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &c)| c)
-                .expect("six classes");
-            causes.push(format!(
-                "cycle mix: {} {:.0}% of SM epoch-cycles",
-                gvf_sim::CYCLE_CLASS_LABELS[slot],
-                100.0 * count as f64 / total as f64
-            ));
-        }
-    }
-    if let Some(attrib) = load(".attrib.json") {
-        let totals = attrib_tag_totals(&attrib);
-        let (txns, hits) = totals
-            .values()
-            .fold((0u64, 0u64), |(t, h), (tx, hi)| (t + tx, h + hi));
-        if txns > 0 {
-            causes.push(format!(
-                "L1 hit rate: {:.1}% over {txns} load transactions",
-                100.0 * hits as f64 / txns as f64
-            ));
-        }
-    }
-    causes.truncate(3);
-    causes
-}
-
 /// One-line-per-run human summary of a rundiff document, shared by
 /// `diffrun`'s stderr output and REPORT.md's baseline section.
 pub fn human_summary(doc: &Json) -> String {

@@ -79,7 +79,7 @@ pub const HOSTPERF: Schema = Schema {
 /// Append-only benchmark trajectory (`BENCH_gvf.json`).
 pub const TRAJECTORY: Schema = Schema {
     id: "gvf.bench-trajectory",
-    version: 1,
+    version: 2,
 };
 /// Content-addressed cell-cache entries.
 pub const CELLCACHE: Schema = Schema {

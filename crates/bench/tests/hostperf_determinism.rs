@@ -5,9 +5,7 @@
 //! end-to-end, at the same layer `validate_json --det-diff` and
 //! `perf_gate` operate on.
 
-use gvf_bench::bench_history::{
-    gate, record, sample_from_manifest, GateConfig, History, RunConfig, Sample,
-};
+use gvf_bench::bench_history::{gate, record, History, Record};
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::hostperf::host_perf_json_from;
 use gvf_bench::json::Json;
@@ -100,58 +98,35 @@ fn host_perf_is_excluded_from_the_determinism_view() {
     assert_eq!(strip_host_perf(&serial), core);
 }
 
-/// The round trip `perf_record` relies on: a manifest with an embedded
-/// hostPerf section yields the same throughput sample after render →
-/// parse, and the sample ignores everything the strip removes… except
-/// the hostPerf numbers themselves.
-#[test]
-fn samples_survive_the_manifest_round_trip() {
-    let doc = manifest("fig6", &opts(), &cells())
-        .with("hostPerf", host_perf_json_from(&snapshot(1), 12_345));
-    let parsed = Json::parse(&doc.render()).expect("manifest must parse");
-    let a = sample_from_manifest(&doc).expect("sample");
-    let b = sample_from_manifest(&parsed).expect("sample after round trip");
-    assert_eq!(a, b);
-    assert_eq!(a.bin, "fig6");
-    assert_eq!(a.sim_cycles, 12_345);
-    assert!(a.sim_cycles_per_sec > 0.0);
-    // The stripped view must NOT yield a sample: hostPerf is the
-    // sample's only wall-clock source.
-    assert!(sample_from_manifest(&strip_host_perf(&doc)).is_err());
-}
-
 /// Trajectory provenance (git rev, date) never reaches the gate: two
-/// histories recording identical measurements under different
-/// rev/date stamps produce identical verdicts for every probe.
+/// histories recording identical run records under different rev/date
+/// stamps produce identical verdicts for every probe.
 #[test]
 fn trajectory_timestamps_are_excluded_from_the_gate() {
-    let sample = |rate: f64| Sample {
-        bin: "fig6".into(),
-        config: RunConfig {
-            // Benchmark-grade: smoke or sub-second samples are skipped
-            // by the gate outright, which would make this test vacuous.
-            smoke: false,
-            scale: 1,
-            iterations: 2,
-        },
-        wall_s: 2.0,
-        cells: 4,
-        cells_per_sec: 4.0,
-        sim_cycles: 1_000,
-        sim_cycles_per_sec: rate,
-        total_instrs: 500,
-        mean_ipc: 0.5,
+    let run = |ns: f64| {
+        Record::from_json(
+            Json::parse(&format!(
+                r#"{{"workload": "micro-dispatch", "seed": 24301, "seconds": 0,
+                    "noise": {{"steal_share": 0.0}},
+                    "correct": true, "attempted": 72, "failed": 0,
+                    "metrics": {{"engine.ns_per_instr": {{"value": {ns}, "unit": "ns"}}}}}}"#
+            ))
+            .expect("record parses"),
+        )
+        .expect("well-formed record")
     };
+    let baseline = [run(880.0), run(892.0), run(905.0)];
     let mut then = History::default();
     let mut now = History::default();
-    record(&mut then, &[sample(1000.0)], "0000001", "1999-12-31");
-    record(&mut now, &[sample(1000.0)], "fffffff", "2026-08-05");
-    let cfg = GateConfig::default();
-    for rate in [1000.0, 900.0, 100.0, 0.5] {
+    record(&mut then, &baseline, "0000001", "1999-12-31").expect("correct records");
+    record(&mut now, &baseline, "fffffff", "2026-10-17").expect("correct records");
+    for ns in [892.0, 1000.0, 1100.0, 9000.0] {
+        let verdicts = gate(&then, &[run(ns)]);
+        assert_eq!(verdicts.len(), 1, "the gate must judge the metric");
         assert_eq!(
-            gate(&then, &sample(rate), &cfg),
-            gate(&now, &sample(rate), &cfg),
-            "verdict for rate {rate} depended on provenance"
+            verdicts,
+            gate(&now, &[run(ns)]),
+            "verdict for {ns} ns depended on provenance"
         );
     }
 }

@@ -1,12 +1,11 @@
-//! Property tests for the two telemetry schemas added with the
-//! host-performance subsystem (`gvf.hostperf` v1 and
-//! `gvf.bench-trajectory` v1): any generated document must survive the
-//! render → parse round trip of the in-repo JSON layer, and the
-//! trajectory must additionally decode back to an equal value — the
-//! same guarantee the older schemas already enjoy (see
-//! `json_roundtrip.rs`), run on the in-repo `gvf-prop` harness.
+//! Property tests for the two host-performance schemas
+//! (`gvf.hostperf` v1 and `gvf.bench-trajectory` v2): any generated
+//! document must survive the render → parse round trip of the in-repo
+//! JSON layer, and the trajectory must additionally decode back to an
+//! equal value — the same guarantee the older schemas already enjoy
+//! (see `json_roundtrip.rs`), run on the in-repo `gvf-prop` harness.
 
-use gvf_bench::bench_history::{History, RunConfig, Sample, TrajectoryEntry};
+use gvf_bench::bench_history::{History, Record, TrajectoryEntry, JUDGED_METRICS};
 use gvf_bench::hostperf::host_perf_json_from;
 use gvf_bench::json::Json;
 use gvf_prop::{props, Rng};
@@ -54,7 +53,37 @@ fn arb_snapshot(rng: &mut Rng) -> HostPerfSnapshot {
     }
 }
 
+/// A run record shaped like `perfbench/run.py`'s: any subset of the
+/// judged metrics plus one that is not judged.
 fn arb_entry(rng: &mut Rng, i: usize) -> TrajectoryEntry {
+    let mut metrics = Json::obj();
+    for name in JUDGED_METRICS.iter().copied().chain(["work.cells"]) {
+        if rng.bool(0.5) {
+            metrics.set(
+                name,
+                Json::obj()
+                    .with("value", Json::Num(arb_f64(rng)))
+                    .with("unit", Json::str("ns")),
+            );
+        }
+    }
+    let record = Json::obj()
+        .with("workload", Json::str(format!("workload{i}")))
+        .with("seed", Json::num_u64(rng.range_u64(0, 1 << 20)))
+        .with("seconds", Json::Num(arb_f64(rng)))
+        .with(
+            "noise",
+            Json::obj()
+                .with(
+                    "loadavg_before",
+                    Json::Arr(vec![Json::Num(arb_f64(rng)); 3]),
+                )
+                .with("steal_share", Json::Num(arb_f64(rng))),
+        )
+        .with("correct", Json::Bool(true))
+        .with("attempted", Json::num_u64(rng.range_u64(0, 1 << 16)))
+        .with("failed", Json::num_u64(0))
+        .with("metrics", metrics);
     TrajectoryEntry {
         rev: format!("{:07x}", rng.range_u64(0, 1 << 28)),
         date: format!(
@@ -63,22 +92,7 @@ fn arb_entry(rng: &mut Rng, i: usize) -> TrajectoryEntry {
             rng.range_u64(1, 13),
             rng.range_u64(1, 29)
         ),
-        samples: rng.range_u64(1, 10),
-        sample: Sample {
-            bin: format!("bin{i}"),
-            config: RunConfig {
-                smoke: rng.bool(0.5),
-                scale: rng.range_u64(1, 64),
-                iterations: rng.range_u64(1, 16),
-            },
-            wall_s: arb_f64(rng),
-            cells: rng.range_u64(0, 1 << 20),
-            cells_per_sec: arb_f64(rng),
-            sim_cycles: rng.range_u64(0, 1 << 50),
-            sim_cycles_per_sec: arb_f64(rng),
-            total_instrs: rng.range_u64(0, 1 << 50),
-            mean_ipc: arb_f64(rng),
-        },
+        record: Record::from_json(record).expect("well-formed record"),
     }
 }
 
@@ -108,7 +122,7 @@ fn hostperf_sections_round_trip() {
     });
 }
 
-/// `gvf.bench-trajectory` v1: a history of arbitrary entries decodes
+/// `gvf.bench-trajectory` v2: a history of arbitrary entries decodes
 /// back to an equal value after render → parse → from_json, and the
 /// encoding is idempotent.
 #[test]

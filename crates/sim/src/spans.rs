@@ -19,7 +19,7 @@
 //! of the open path into the thread's [`live_stacks`] slot; the
 //! collapsed path is maintained incrementally, so steady-state spans
 //! allocate nothing. Costs below kernel level are the benchmark's
-//! per-layer ledger and the `crates/bench/benches/` harnesses.
+//! per-layer ledger.
 //!
 //! Like `hostPerf`, everything here is host-side wall-clock telemetry:
 //! it never touches simulated [`Stats`](crate::Stats) or stdout, and

@@ -1,9 +1,10 @@
 #!/bin/bash
-# Regenerate every paper figure/table plus the test and bench suites,
-# collecting a machine-readable artifact tree under results/.
+# Regenerate every paper figure/table plus the test suite, collecting a
+# machine-readable artifact tree under results/, then measure host
+# performance with the repository benchmark and record it.
 #
 #   ./run_all.sh [--jobs N] [--out DIR] [--keep-going] [--smoke]
-#                [--quiet] [--no-cache] [--samples N] [--baseline DIR]
+#                [--quiet] [--no-cache] [--baseline DIR]
 #
 # --jobs N is passed through to every harness binary: N concurrent
 # simulations, 0 = all cores, default = all cores. Results are
@@ -17,7 +18,7 @@
 # v2 failure manifest and a non-zero exit, without losing the other
 # cells' work.
 # --smoke shrinks every binary to the CI-sized config (seconds, not
-# minutes) — the interrupted-run CI job uses this.
+# minutes) and skips the benchmark, its gate and the recording.
 # --quiet trims the tooling chatter: perf_gate PASS/SKIP lines,
 # perf_record append lines and the report progress line are silenced
 # (failures still print, exit codes are unchanged).
@@ -28,14 +29,6 @@
 # another build of the model are misses, so the cache is never stale.
 # An interrupted or failed run resumes by re-running the same command.
 # --no-cache disables the cell cache entirely.
-# --samples N records N wall-clock samples per binary into the
-# trajectory: after the primary sweep, each binary reruns N times
-# (manifest-only, cache disabled) into $OUT/samples/. The primary
-# manifests carry cache hits, so perf_gate judges the first sample of
-# each binary and perf_record folds all N into one median entry.
-# Default: 3 for benchmark-grade runs, 1 under --smoke (smoke samples
-# never enter the baseline anyway); 0 skips the samples, the gate and
-# the recording.
 # --baseline DIR diffs this run against a previous artifact tree: after
 # validation, diffrun writes $OUT/rundiff.json (gvf.rundiff — semantic /
 # performance / coverage drift, every regression attributed), the
@@ -56,12 +49,15 @@
 # Every artifact is re-parsed by the in-repo validator before the run
 # counts as green, and each events stream is reconciled 1:1 against its
 # binary's manifest.
-# After the sweep, perf_gate judges the first --no-cache sample of each
-# binary against the recorded BENCH_gvf.json baseline (the primary
-# manifests carry cache hits, which the gate and the trajectory skip);
-# only a run that passes the gate is folded
-# into the trajectory by perf_record (so a regressed run can never
-# become part of its own — or any future — baseline). The report
+# Host performance (skipped under --smoke): `python3 perfbench/run.py
+# --workload W --seed 24301 --seconds 0 --trace T` runs three times for
+# each W in eval-grid, micro-dispatch and T in 0 (end-to-end: cpu_s) and
+# 1 (per layer: ns per object or instruction, on the thread CPU clock);
+# see perfbench/README.md. Each run record is copied to
+# $OUT/bench/W-traceT.i.json. perf_gate judges them against the
+# recorded BENCH_gvf.json baseline, and only records that pass the gate
+# are folded into the trajectory by perf_record (so a regressed run can
+# never become part of its own — or any future — baseline). The report
 # binary then collates everything into $OUT/REPORT.md.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -72,7 +68,6 @@ KEEP_GOING=0
 CACHE_FLAGS=()
 SMOKE_FLAGS=()
 QUIET_FLAGS=()
-SAMPLES=""
 BASELINE=""
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -82,9 +77,6 @@ while [ $# -gt 0 ]; do
     --out)
       [ $# -ge 2 ] || { echo "error: --out needs a value" >&2; exit 2; }
       OUT="$2"; shift 2 ;;
-    --samples)
-      [ $# -ge 2 ] || { echo "error: --samples needs a value" >&2; exit 2; }
-      SAMPLES="$2"; shift 2 ;;
     --baseline)
       [ $# -ge 2 ] || { echo "error: --baseline needs a value" >&2; exit 2; }
       BASELINE="$2"; shift 2 ;;
@@ -97,16 +89,9 @@ while [ $# -gt 0 ]; do
     --no-cache)
       CACHE_FLAGS=(--no-cache); shift ;;
     *)
-      echo "error: unknown argument '$1' (usage: $0 [--jobs N] [--out DIR] [--keep-going] [--smoke] [--quiet] [--no-cache] [--samples N] [--baseline DIR])" >&2; exit 2 ;;
+      echo "error: unknown argument '$1' (usage: $0 [--jobs N] [--out DIR] [--keep-going] [--smoke] [--quiet] [--no-cache] [--baseline DIR])" >&2; exit 2 ;;
   esac
 done
-# Benchmark-grade (non-smoke) runs default to the trajectory's
-# recommended sample count; smoke samples never enter the baseline, so
-# one is enough.
-if [ -z "$SAMPLES" ]; then
-  if [ "${#SMOKE_FLAGS[@]}" -gt 0 ]; then SAMPLES=1; else SAMPLES=3; fi
-fi
-
 # The benchmark block below runs inside a pipe subshell (tee), so
 # failures are collected in a file rather than a shell variable.
 FAILURES_FILE="$(mktemp)"
@@ -134,7 +119,6 @@ mkdir -p "$OUT"
 run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
 
 {
-  run_step "cargo bench" cargo bench --workspace
   echo
   echo "================================================================"
   echo "  PAPER FIGURE / TABLE HARNESS (cargo run -p gvf-bench --bin <x>)"
@@ -156,29 +140,11 @@ run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
       --events-out "$OUT/$b.events.jsonl" \
       "${SMOKE_FLAGS[@]}" "${CACHE_FLAGS[@]}" "${extra[@]}"
   done
-  # Wall-clock samples for the gate and the trajectory: N manifest-only
-  # reruns per binary into $OUT/samples/ (a subdirectory, so the
-  # validator glob and the report's scan of $OUT never mix them in with
-  # the primary artifacts). Cache disabled — a cache-hit sample takes
-  # near-zero wall time and perf_gate/perf_record would rightly skip it.
-  if [ "$SAMPLES" -gt 0 ]; then
-    mkdir -p "$OUT/samples"
-    for s in $(seq 1 "$SAMPLES"); do
-      for b in fig1b table1 table2 fig6 fig7 fig8 fig9 fig11 fig12 alloc_init fig10 ablation_lookup generations counters; do
-        run_step "$b sample $s" cargo run --release -p gvf-bench --bin "$b" -- \
-          --jobs "$JOBS" --json-out "$OUT/samples/$b.s$s.json" --no-cache \
-          "${SMOKE_FLAGS[@]}"
-      done
-    done
-  fi
   # The glob picks up every per-binary artifact family: .json manifest,
   # .attrib.json, .profile.json, .audit.json (plus fig6's trace and
   # metrics) — the validator dispatches on each file's schema header
   # and, for gvf.cycleaudit, re-checks the epoch accounting invariant.
   run_step "validate artifacts" cargo run --release -p gvf-bench --bin validate_json -- "$OUT"/*.json
-  if compgen -G "$OUT/samples/*.json" > /dev/null; then
-    run_step "validate samples" cargo run --release -p gvf-bench --bin validate_json -- "$OUT"/samples/*.json
-  fi
   # Cell-cache entries are artifacts too: each carries a content hash
   # that the validator recomputes, so a corrupted or hand-edited entry
   # is caught here rather than silently read into a future manifest.
@@ -199,30 +165,48 @@ run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
     run_step "status" cargo run --release -p gvf-bench --bin status -- --summary "$OUT/fig7.events.jsonl"
   fi
 
-  # Judge this run's first --no-cache samples against the recorded
-  # baseline FIRST, and fold the samples into the trajectory only once
-  # they pass. Recording first would put
-  # the gated sample inside its own baseline (with one prior entry per
-  # bin the median becomes the midpoint and the gate mathematically
+  # Host performance: the repository benchmark's run records, three per
+  # workload and trace level. run.py overwrites one record per
+  # (workload, seed, trace) in .bench_out/runs/, so each is removed
+  # before its run (a failed run must not leave a stale record to copy)
+  # and copied out after it.
+  records=()
+  if [ "${#SMOKE_FLAGS[@]}" -eq 0 ]; then
+    mkdir -p "$OUT/bench"
+    for w in eval-grid micro-dispatch; do
+      for t in 0 1; do
+        for i in 1 2 3; do
+          rec=".bench_out/runs/$w-seed24301-trace$t.json"
+          rm -f "$rec"
+          run_step "perfbench $w trace $t run $i" python3 perfbench/run.py \
+            --workload "$w" --seed 24301 --seconds 0 --trace "$t"
+          if [ -f "$rec" ]; then
+            cp "$rec" "$OUT/bench/$w-trace$t.$i.json"
+            records+=("$OUT/bench/$w-trace$t.$i.json")
+          fi
+        done
+      done
+    done
+  fi
+
+  # Judge this run's records against the recorded baseline FIRST, and
+  # fold them into the trajectory only once they pass. Recording first
+  # would put the gated records inside their own baseline (their
+  # slowdown then widens the median and MAD enough that the gate
   # cannot fail), and appending unconditionally would let a persistent
   # regression rewrite the baseline into the new normal. A fresh
-  # checkout still bootstraps cleanly: with no matching baseline the
-  # gate skips (never fails) and the first recording stands it up.
-  manifests=()
-  for b in fig1b table1 table2 fig6 fig7 fig8 fig9 fig11 fig12 alloc_init fig10 ablation_lookup generations counters; do
-    [ -f "$OUT/samples/$b.s1.json" ] && manifests+=("$OUT/samples/$b.s1.json")
-  done
-  if [ "${#manifests[@]}" -gt 0 ]; then
-    run_step "perf_gate" cargo run --release -p gvf-bench --bin perf_gate -- "${QUIET_FLAGS[@]}" "${manifests[@]}"
+  # checkout still bootstraps cleanly: with fewer than three matching
+  # entries the gate skips (never fails) and the first recordings stand
+  # it up.
+  if [ "${#records[@]}" -gt 0 ]; then
+    run_step "perf_gate" cargo run --release -p gvf-bench --bin perf_gate -- "${QUIET_FLAGS[@]}" "${records[@]}"
     # Under --keep-going a gate failure lands in FAILURES_FILE instead
     # of exiting; either way, a run that failed the gate is not
     # recorded.
     if grep -qx "perf_gate" "$FAILURES_FILE" 2>/dev/null; then
       echo "run_all.sh: perf_gate failed — not folding this run into BENCH_gvf.json" >&2
     else
-      # perf_record groups the samples by (generator, config) and
-      # records one median entry per group.
-      run_step "perf_record" cargo run --release -p gvf-bench --bin perf_record -- "${QUIET_FLAGS[@]}" "$OUT"/samples/*.json
+      run_step "perf_record" cargo run --release -p gvf-bench --bin perf_record -- "${QUIET_FLAGS[@]}" "${records[@]}"
       run_step "validate trajectory" cargo run --release -p gvf-bench --bin validate_json -- BENCH_gvf.json
     fi
   fi
