@@ -138,6 +138,14 @@ struct SmState<P: Probe> {
     /// Length past which the prologue compacts `mshr` (the in-flight
     /// ceiling plus one warp of slack).
     mshr_gc_at: usize,
+    /// Memoized MSHR back-pressure verdict (see [`SmState::mshr_gate`]):
+    /// `0` not gating, else the earliest outstanding completion the
+    /// gate waits for; [`MSHR_GATE_STALE`] after any MSHR write.
+    mshr_gate: u64,
+    /// Upper bound on the entries outstanding at any cycle from the
+    /// last gate evaluation on: set there, one more per push. Below
+    /// `mshr_per_sm` no miss can wait, so [`mshr_acquire`] is skipped.
+    mshr_busy: usize,
     /// Resident warp state, structure-of-arrays indexed by slot: the
     /// hot scheduler scan touches only `w_ready`, so a 64-warp SM's
     /// scan walks one dense `u64` array instead of striding through a
@@ -147,6 +155,11 @@ struct SmState<P: Probe> {
     w_trace: Vec<u32>,
     w_pc: Vec<u32>,
     w_ready: Vec<u64>,
+    /// Set while the slot's current op is a load that was deferred and
+    /// has not issued since. Its pending arena can only shrink and its
+    /// `w_ready` covered the operand terms, so a re-check needs only
+    /// the LSU and MSHR terms (see DESIGN.md, "Hot-path architecture").
+    w_settled: Vec<bool>,
     /// Latest warp-retire completion seen on this SM (feeds the
     /// kernel's final cycle count in [`finish`]).
     max_retire: u64,
@@ -252,20 +265,79 @@ impl<P: Probe> SmState<P> {
         self.w_trace[wi] = trace_idx as u32;
         self.w_pc[wi] = 0;
         self.w_ready[wi] = ready_at;
+        // A warp retires only by issuing its last op, which clears the
+        // flag, so a reused slot starts unsettled.
+        debug_assert!(!self.w_settled[wi], "settled flag outlived its warp");
         self.pend_len[wi] = 0;
+    }
+
+    /// MSHR back-pressure on a load issuing at `cycle`: while the file
+    /// lacks room for a full warp of misses, the earliest outstanding
+    /// completion, else `0` (an empty file always admits a load).
+    ///
+    /// Memoized until the next MSHR write and, when gating, for every
+    /// cycle before that completion: no entry completes earlier, so
+    /// the outstanding count cannot change in between. A non-gating
+    /// verdict holds until the next write, since without writes the
+    /// outstanding count only falls.
+    fn mshr_gate(&mut self, cfg: &GpuConfig, cycle: u64) -> u64 {
+        let gate = self.mshr_gate;
+        if gate == MSHR_GATE_STALE || (gate != 0 && gate <= cycle) {
+            let warp = cfg.warp_size as usize;
+            // Outstanding ≤ raw length, so a short file can never gate
+            // — skip the scan.
+            let (outstanding, earliest) = if self.mshr.len() + warp > cfg.mshr_per_sm {
+                mshr_outstanding(&self.mshr, cycle)
+            } else {
+                (self.mshr.len(), 0)
+            };
+            self.mshr_busy = outstanding;
+            self.mshr_gate = if outstanding > 0 && outstanding + warp > cfg.mshr_per_sm {
+                earliest
+            } else {
+                0
+            };
+        }
+        self.mshr_gate
+    }
+
+    /// A load's deferral target derived by full scans, reading nothing
+    /// memoized: the exactness oracle for [`SmState::mshr_gate`],
+    /// `mshr_busy` and `w_settled`.
+    #[cfg(debug_assertions)]
+    fn load_defer_reference(&self, cfg: &GpuConfig, wi: usize, tag: AccessTag, cycle: u64) -> u64 {
+        let base = wi * self.pend_stride;
+        let live = self.pend[base..base + self.pend_len[wi] as usize]
+            .iter()
+            .filter(|(c, _)| *c > cycle);
+        let tags = dep_tags(tag);
+        let mut until = live
+            .clone()
+            .filter(|(_, t)| tags.iter().any(|x| x.index() as u32 == *t))
+            .map(|(c, _)| *c)
+            .max()
+            .unwrap_or(0);
+        if live.clone().count() >= cfg.max_pending_loads {
+            until = until.max(live.map(|(c, _)| *c).min().expect("non-empty pending"));
+        }
+        if self.l1_free_at > cycle + cfg.l1_queue_cap {
+            until = until.max(self.l1_free_at - cfg.l1_queue_cap);
+        }
+        let (outstanding, earliest) = mshr_outstanding(&self.mshr, cycle);
+        debug_assert!(outstanding <= self.mshr_busy, "mshr_busy below outstanding");
+        if outstanding > 0 && outstanding + cfg.warp_size as usize > cfg.mshr_per_sm {
+            until = until.max(earliest);
+        }
+        until
     }
 }
 
-/// Non-destructive MSHR reservation: the time a miss starting at `t`
-/// may enter the memory system, given the outstanding entries. The
-/// caller pushes the new entry itself; completed entries are garbage
-/// collected once per epoch in the prologue.
-fn mshr_acquire(mshr: &[u64], cap: usize, t: u64) -> u64 {
-    // Outstanding entries are a subset of the raw file, so a file with
-    // spare raw slots can never gate — the common case, answered O(1).
-    if mshr.len() < cap {
-        return t;
-    }
+/// [`SmState::mshr_gate`] sentinel: recompute on the next load check.
+const MSHR_GATE_STALE: u64 = u64::MAX;
+
+/// The MSHR entries outstanding at `t` (completing after it) and the
+/// earliest of their completions (`u64::MAX` if none).
+fn mshr_outstanding(mshr: &[u64], t: u64) -> (usize, u64) {
     let mut outstanding = 0usize;
     let mut earliest = u64::MAX;
     for &c in mshr {
@@ -274,6 +346,20 @@ fn mshr_acquire(mshr: &[u64], cap: usize, t: u64) -> u64 {
             earliest = earliest.min(c);
         }
     }
+    (outstanding, earliest)
+}
+
+/// Non-destructive MSHR reservation: the time a miss starting at `t`
+/// may enter the memory system, given the outstanding entries. The
+/// caller pushes the new entry itself; completed entries are garbage
+/// collected once per epoch in the prologue.
+fn mshr_acquire(mshr: &[u64], cap: usize, t: u64) -> u64 {
+    // Outstanding entries are a subset of the raw file, so a file with
+    // spare raw slots can never gate — answered O(1).
+    if mshr.len() < cap {
+        return t;
+    }
+    let (outstanding, earliest) = mshr_outstanding(mshr, t);
     if outstanding < cap {
         t
     } else {
@@ -434,9 +520,12 @@ fn setup<P: Probe>(
             mshr: Vec::with_capacity(mshr_cap),
             mshr_max: 0,
             mshr_gc_at: cfg.mshr_per_sm + warp_size,
+            mshr_gate: MSHR_GATE_STALE,
+            mshr_busy: 0,
             w_trace: Vec::new(),
             w_pc: Vec::new(),
             w_ready: Vec::new(),
+            w_settled: Vec::new(),
             max_retire: 0,
             pend: Vec::new(),
             pend_len: Vec::new(),
@@ -467,6 +556,7 @@ fn setup<P: Probe>(
         sm.w_trace = Vec::with_capacity(take);
         sm.w_pc = vec![0; take];
         sm.w_ready = vec![0; take];
+        sm.w_settled = vec![false; take];
         sm.pend = vec![(0, 0); take * sm.pend_stride];
         sm.pend_len = vec![0; take];
         for _ in 0..take {
@@ -631,7 +721,8 @@ fn sm_epoch<P: Probe>(
             }
             continue;
         };
-        // Issued: the picture changes, rescan next cycle.
+        // Chosen: issued or deferred, the picture may change — rescan
+        // next cycle.
         any_chosen = true;
         sm.sched_next[sched] = 0;
         sm.rr = (wi + 1) % n;
@@ -649,32 +740,30 @@ fn sm_epoch<P: Probe>(
                 sm.dep_ready(wi, &[AccessTag::ConstIndirection, AccessTag::VfuncPtr])
             }
             Op::Mem(m) if !m.is_store => {
-                sm.prune(wi, cycle);
-                let mut until = sm.dep_ready(wi, dep_tags(m.tag));
-                if sm.pend_len[wi] as usize >= cfg.max_pending_loads {
-                    until = until.max(sm.pend_oldest(wi));
-                }
+                let mut until = sm.mshr_gate(cfg, cycle);
                 // LSU queue back-pressure.
                 if sm.l1_free_at > cycle + cfg.l1_queue_cap {
                     until = until.max(sm.l1_free_at - cfg.l1_queue_cap);
                 }
-                // MSHR back-pressure: leave room for a full warp's
-                // worth of miss sectors before issuing (an empty MSHR
-                // file always admits a load). Outstanding ≤ raw length,
-                // so a short file can never gate — skip the scan.
-                if sm.mshr.len() + cfg.warp_size as usize > cfg.mshr_per_sm {
-                    let mut outstanding = 0usize;
-                    let mut earliest = u64::MAX;
-                    for &c in &sm.mshr {
-                        if c > cycle {
-                            outstanding += 1;
-                            earliest = earliest.min(c);
-                        }
-                    }
-                    if outstanding > 0 && outstanding + cfg.warp_size as usize > cfg.mshr_per_sm {
-                        until = until.max(earliest);
+                // Operand and MLP-cap terms. A settled warp skips them
+                // and prunes its arena only once the load issues.
+                let settled = sm.w_settled[wi];
+                if !settled || until <= cycle {
+                    sm.prune(wi, cycle);
+                }
+                if !settled {
+                    until = until.max(sm.dep_ready(wi, dep_tags(m.tag)));
+                    if sm.pend_len[wi] as usize >= cfg.max_pending_loads {
+                        until = until.max(sm.pend_oldest(wi));
                     }
                 }
+                sm.w_settled[wi] = until > cycle;
+                #[cfg(debug_assertions)]
+                debug_assert_eq!(
+                    until,
+                    sm.load_defer_reference(cfg, wi, m.tag, cycle),
+                    "memoized scoreboard diverged from the full scan"
+                );
                 until
             }
             _ => 0,
@@ -912,15 +1001,19 @@ fn issue_load_phase_a<P: Probe>(
                     } else {
                         // A miss needs an MSHR slot before entering L2/DRAM.
                         let want = t1 + cfg.l1_latency;
-                        let tm = mshr_acquire(&sm.mshr, cfg.mshr_per_sm, want);
-                        if tm > want {
-                            sm.probe.mshr_wait(want, tm);
-                        }
+                        let tm = if sm.mshr_busy < cfg.mshr_per_sm {
+                            want
+                        } else {
+                            mshr_acquire(&sm.mshr, cfg.mshr_per_sm, want)
+                        };
+                        debug_assert_eq!(tm, mshr_acquire(&sm.mshr, cfg.mshr_per_sm, want));
                         let slot = sm.mshr.len();
                         // Lower-bound placeholder; phase B writes the real
                         // fill time before any later epoch reads it.
                         sm.mshr.push(tm + cfg.l2_latency);
                         sm.mshr_max = sm.mshr_max.max(tm + cfg.l2_latency);
+                        sm.mshr_busy += 1;
+                        sm.mshr_gate = MSHR_GATE_STALE;
                         sm.sectors.push(SectorReq {
                             sector: s,
                             ready: tm,
@@ -1011,6 +1104,7 @@ fn mem_phase_b<P: Probe>(
                 };
                 sm.mshr[mshr_slot] = filled;
                 sm.mshr_max = sm.mshr_max.max(filled);
+                sm.mshr_gate = MSHR_GATE_STALE;
                 done = done.max(filled);
             }
             memstats.stall_by_tag[req.tag_idx] += done.saturating_sub(req.issue_cycle);
@@ -1407,6 +1501,30 @@ mod scoreboard_tests {
             "{} !> {}",
             slow.cycles,
             fast.cycles
+        );
+    }
+
+    #[test]
+    fn mshr_below_warp_size_admits_a_full_burst() {
+        // An MSHR file smaller than a warp: the empty file still admits
+        // a 32-sector miss burst, and the sectors past the cap wait for
+        // the earliest fill (`mshr_acquire`'s scan, not its fast path).
+        let burst = |base: u64| ld((0..32).map(|l| base + l * 128).collect(), AccessTag::Field);
+        let kernel = one(vec![burst(0x90_0000), burst(0xA0_0000)]);
+        let mut cfg = GpuConfig::small();
+        cfg.num_sms = 1;
+        cfg.mshr_per_sm = 16;
+        let capped = Gpu::new(cfg.clone()).execute(&kernel);
+        cfg.mshr_per_sm = 64;
+        let roomy = Gpu::new(cfg).execute(&kernel);
+        assert_eq!(capped.global_load_transactions, 64);
+        // Pinned from the unmemoized scoreboard.
+        assert_eq!(capped.cycles, 1072);
+        assert!(
+            capped.cycles > roomy.cycles,
+            "{} !> {}",
+            capped.cycles,
+            roomy.cycles
         );
     }
 

@@ -182,11 +182,6 @@ pub trait Probe {
     #[inline(always)]
     fn dram_access(&mut self, _cycle: u64) {}
 
-    /// A miss wanted an MSHR entry at `cycle` but the file was full;
-    /// it enters the memory system at `until`.
-    #[inline(always)]
-    fn mshr_wait(&mut self, _cycle: u64, _until: u64) {}
-
     /// A store issued `sectors` coalesced store transactions.
     #[inline(always)]
     fn store_sectors(&mut self, _cycle: u64, _sectors: u64) {}
@@ -288,12 +283,6 @@ impl<P: Probe> Probe for Option<P> {
         }
     }
     #[inline(always)]
-    fn mshr_wait(&mut self, cycle: u64, until: u64) {
-        if let Some(p) = self {
-            p.mshr_wait(cycle, until);
-        }
-    }
-    #[inline(always)]
     fn store_sectors(&mut self, cycle: u64, sectors: u64) {
         if let Some(p) = self {
             p.store_sectors(cycle, sectors);
@@ -374,11 +363,6 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
     fn dram_access(&mut self, cycle: u64) {
         self.0.dram_access(cycle);
         self.1.dram_access(cycle);
-    }
-    #[inline(always)]
-    fn mshr_wait(&mut self, cycle: u64, until: u64) {
-        self.0.mshr_wait(cycle, until);
-        self.1.mshr_wait(cycle, until);
     }
     #[inline(always)]
     fn store_sectors(&mut self, cycle: u64, sectors: u64) {

@@ -281,6 +281,59 @@ fn arb_kernel(rng: &mut Rng) -> KernelTrace {
     KernelTrace { warps }
 }
 
+/// Generates a kernel that floods the MSHR file: every global load
+/// touches 32 distinct lines spread over 4 MiB, so it mostly misses
+/// L1 with a full warp of sectors, and chained tags keep operand
+/// deferrals in the mix.
+fn arb_mshr_flood(rng: &mut Rng) -> KernelTrace {
+    const TAGS: [AccessTag; 4] = [
+        AccessTag::VtablePtr,
+        AccessTag::VfuncPtr,
+        AccessTag::RangeWalk,
+        AccessTag::Field,
+    ];
+    let n_warps = rng.range_usize(4, 24);
+    let mut warps = Vec::with_capacity(n_warps);
+    for _ in 0..n_warps {
+        let mut w = WarpTrace::new();
+        for _ in 0..rng.range_usize(2, 12) {
+            match rng.range_usize(0, 6) {
+                0 => w.push(Op::Alu(rng.range_u64(1, 4) as u16)),
+                1 => w.push(Op::IndirectCall { target: 0 }),
+                _ => {
+                    let base = rng.range_u64(0, 1 << 22) & !127;
+                    let stride = 128 * rng.range_u64(1, 256);
+                    let addrs = (0..32).map(|l| base + l * stride).collect();
+                    w.push(mem_op(addrs, TAGS[rng.range_usize(0, TAGS.len())]));
+                }
+            }
+        }
+        warps.push(w);
+    }
+    KernelTrace { warps }
+}
+
+/// The scoreboard's MSHR memo, settled-warp re-checks and
+/// `mshr_acquire` fast path under sustained back-pressure, with MSHR
+/// files below, just above and well above a warp of misses. Debug
+/// builds re-derive every memoized verdict with the full scan inside
+/// the engine; here fast-forward must also match plain epoch ticking.
+#[test]
+fn mshr_saturating_kernels_match_tick_reference() {
+    props!(8, |rng| {
+        let kernel = arb_mshr_flood(rng);
+        for mshr_per_sm in [16, 33, 48, 64] {
+            let mut cfg = GpuConfig::small();
+            cfg.mshr_per_sm = mshr_per_sm;
+            let tick = Gpu::new(cfg.clone())
+                .with_fast_forward(false)
+                .execute(&kernel);
+            let ff = Gpu::new(cfg).execute(&kernel);
+            assert_eq!(ff, tick, "mshr_per_sm {mshr_per_sm}: fast-forward diverged");
+        }
+    });
+}
+
 /// Attribution histograms merge associatively and commutatively with
 /// exact totals — the algebra the thread-count-independent merged
 /// report rests on.
