@@ -30,11 +30,7 @@
 //! 7. a "Run timeline" section from the `gvf.events` telemetry streams
 //!    (`*.events.jsonl`): per-sweep cell outcomes, wall time, worker
 //!    occupancy and stall warnings — how each run actually unfolded;
-//! 8. "What changed since the baseline": every `gvf.rundiff`
-//!    run-comparison artifact found in the results dir (see
-//!    [`gvf_bench::rundiff`]) rendered as per-run verdicts plus top
-//!    attributed causes;
-//! 9. the recent benchmark trajectory from `BENCH_gvf.json`: the last
+//! 8. the recent benchmark trajectory from `BENCH_gvf.json`: the last
 //!    run records with their CPU time and engine and kernel cost per
 //!    instruction.
 //!
@@ -616,40 +612,6 @@ fn absent_notes(unreadable: &[(String, String)], family: &str) -> String {
     md
 }
 
-/// The "What changed since the baseline" section: every `gvf.rundiff`
-/// artifact found in the results dir (e.g. `rundiff.json` from
-/// `run_all.sh --baseline`), rendered as its per-run verdicts plus the
-/// top attributed causes.
-fn baseline_section(rundiffs: &[(String, Json)]) -> String {
-    let mut md = String::new();
-    if rundiffs.is_empty() {
-        md.push_str(
-            "No run-comparison artifacts found — produce one with \
-             `run_all.sh --baseline DIR` or `diffrun BASELINE CURRENT` \
-             to get every regression explained here.\n\n",
-        );
-    }
-    for (path, doc) in rundiffs {
-        md.push_str(&format!("### `{path}`\n\n"));
-        for line in gvf_bench::rundiff::human_summary(doc).lines() {
-            md.push_str(&format!("- {line}\n"));
-        }
-        let causes = doc
-            .get("summary")
-            .and_then(|s| s.get("topCauses"))
-            .and_then(Json::as_arr)
-            .unwrap_or(&[]);
-        if !causes.is_empty() {
-            md.push_str("\nTop attributed causes:\n");
-            for c in causes {
-                md.push_str(&format!("- {}\n", scalar(c)));
-            }
-        }
-        md.push('\n');
-    }
-    md
-}
-
 /// Aggregates a trace's `"cat": "stall"` slices by (pc, cause).
 fn accumulate_hotspots(doc: &Json, agg: &mut Vec<Hotspot>) {
     let Some(events) = doc.get("traceEvents").and_then(Json::as_arr) else {
@@ -729,7 +691,6 @@ fn main() {
     let mut attributions: Vec<(String, Json)> = Vec::new(); // (generator, doc)
     let mut audits: Vec<(String, Json)> = Vec::new(); // (generator, doc)
     let mut profiles: Vec<(String, Json)> = Vec::new(); // (generator, doc)
-    let mut rundiffs: Vec<(String, Json)> = Vec::new(); // (path, doc)
     let mut hotspots: Vec<Hotspot> = Vec::new();
     let mut unreadable: Vec<(String, String)> = Vec::new(); // (path, error)
     let mut skipped = 0usize;
@@ -773,8 +734,6 @@ fn main() {
             profiles.push((generator, doc));
         } else if schema == TIMELINE_SCHEMA {
             accumulate_hotspots(&doc, &mut hotspots);
-        } else if schema == gvf_bench::schemas::RUNDIFF.id {
-            rundiffs.push((path.clone(), doc));
         }
         // Metrics series feed Figure 13-style plots, not this report.
     }
@@ -1102,14 +1061,6 @@ fn main() {
         ));
         md.push('\n');
     }
-
-    md.push_str("## What changed since the baseline\n\n");
-    md.push_str(
-        "Differential observability: every `gvf.rundiff` run-comparison \
-         artifact under the results dir (produced by `run_all.sh \
-         --baseline DIR` or `diffrun`).\n\n",
-    );
-    md.push_str(&baseline_section(&rundiffs));
 
     md.push_str("## Benchmark trajectory\n\n");
     match History::load(&history_path) {

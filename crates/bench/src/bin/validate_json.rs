@@ -12,11 +12,15 @@
 //!   `gvf.events` telemetry streams are JSONL, recognized by their
 //!   `runStart` first line, and validated against the full lifecycle
 //!   invariants (see [`gvf_bench::events::validate_stream`]).
-//! - `validate_json --det-diff A B` — the determinism comparison: both
-//!   manifests must parse, and must be **identical after stripping the
-//!   `hostPerf` section** (the one intentionally wall-clock-dependent
-//!   part of a manifest). This is what CI runs on the serial-vs-parallel
-//!   pair instead of a raw byte diff.
+//! - `validate_json --det-diff A B` — the determinism comparison: two
+//!   run manifests, attribution reports or cycle audits of the same
+//!   schema must have **no differing path** in their determinism views
+//!   (a manifest minus its wall-clock `hostPerf` section; the other two
+//!   whole — see [`gvf_bench::manifest::det_diff`]). On a difference it
+//!   prints each differing path with both values
+//!   (`cells[0].stats.l1_hits: 5551 -> 999999`), the first
+//!   [`DET_DIFF_SHOWN`] of them plus a count of the rest, and exits 1.
+//!   CI runs it on every serial-vs-parallel artifact pair.
 //! - `validate_json --events-reconcile EVENTS MANIFEST` — lifecycle
 //!   reconciliation: the events stream must validate, and its cell
 //!   outcomes must match the run manifest one-to-one (every cell
@@ -24,10 +28,7 @@
 //!   with `hostPerf.cellCache`).
 //! - `validate_json --list-schemas` — prints every schema id + version
 //!   this validator knows (the [`gvf_bench::schemas`] registry), one
-//!   `id vN` pair per line. `gvf.rundiff` run-comparison artifacts are
-//!   checked via [`gvf_bench::rundiff::check_doc`]: header, per-run
-//!   internal consistency (clean flags vs diff lists), and summary
-//!   recomputation.
+//!   `id vN` pair per line.
 //!
 //! For `gvf.attribution` documents the structural check goes beyond the
 //! header: for every cell that carries attribution, the per-PC
@@ -48,11 +49,15 @@ use gvf_bench::events::{self, EVENTS_SCHEMA};
 use gvf_bench::hostperf::HOSTPERF_SCHEMA;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{
-    strip_host_perf, ATTRIB_SCHEMA, CYCLEAUDIT_SCHEMA, HOSTPROFILE_SCHEMA, MANIFEST_SCHEMA,
+    self, ATTRIB_SCHEMA, CYCLEAUDIT_SCHEMA, HOSTPROFILE_SCHEMA, MANIFEST_SCHEMA,
     MANIFEST_SCHEMA_VERSION, METRICS_SCHEMA,
 };
-use gvf_bench::{rundiff, schemas};
+use gvf_bench::schemas;
 use gvf_sim::TIMELINE_SCHEMA;
+
+/// Differing paths `--det-diff` prints before summarizing the rest as
+/// a count.
+const DET_DIFF_SHOWN: usize = 20;
 
 /// Returns the document's schema identifier, looking both at the top
 /// level (manifest, metrics, trajectory) and under `otherData` (Chrome
@@ -172,7 +177,6 @@ fn check(doc: &Json, schema: &str) -> Result<(), String> {
             events::validate_stream(std::slice::from_ref(doc)).map(|_| ())
         }
         TRAJECTORY_SCHEMA => gvf_bench::bench_history::History::from_json(doc).map(|_| ()),
-        s if s == schemas::RUNDIFF.id => rundiff::check_doc(doc),
         other => Err(format!("unknown schema {other:?}")),
     }
 }
@@ -320,30 +324,27 @@ fn events_reconcile(events_path: &str, manifest_path: &str) -> Result<(), String
     events::reconcile(&summary, &manifest)
 }
 
-/// `--det-diff A B`: equality of the two manifests' determinism views.
+/// `--det-diff A B`: the two documents' determinism views must not
+/// differ; otherwise the error lists the differing paths.
 fn det_diff(a_path: &str, b_path: &str) -> Result<(), String> {
     let a = load(a_path).map_err(|e| format!("{a_path}: {e}"))?;
     let b = load(b_path).map_err(|e| format!("{b_path}: {e}"))?;
-    for (path, doc) in [(a_path, &a), (b_path, &b)] {
-        if schema_of(doc) != Some(MANIFEST_SCHEMA) {
-            return Err(format!("{path}: not a {MANIFEST_SCHEMA:?} document"));
-        }
+    let diffs = manifest::det_diff(&a, &b)?;
+    if diffs.is_empty() {
+        return Ok(());
     }
-    let a_view = strip_host_perf(&a).render();
-    let b_view = strip_host_perf(&b).render();
-    if a_view != b_view {
-        // Point at the first differing line so the CI log is actionable.
-        let line = a_view
-            .lines()
-            .zip(b_view.lines())
-            .position(|(x, y)| x != y)
-            .map(|i| i + 1)
-            .unwrap_or_else(|| a_view.lines().count().min(b_view.lines().count()) + 1);
-        return Err(format!(
-            "determinism views differ (first difference at line {line})"
-        ));
+    let mut msg = format!("{} differing path(s) in the determinism views", diffs.len());
+    for (path, va, vb) in diffs.iter().take(DET_DIFF_SHOWN) {
+        msg += &format!(
+            "\n  {path}: {} -> {}",
+            va.render_compact(),
+            vb.render_compact()
+        );
     }
-    Ok(())
+    if diffs.len() > DET_DIFF_SHOWN {
+        msg += &format!("\n  ... and {} more", diffs.len() - DET_DIFF_SHOWN);
+    }
+    Err(msg)
 }
 
 fn main() {
@@ -358,7 +359,7 @@ fn main() {
         match &args[1..] {
             [a, b] => match det_diff(a, b) {
                 Ok(()) => {
-                    println!("{a} == {b} (modulo hostPerf): ok");
+                    println!("{a} == {b} (determinism view): ok");
                 }
                 Err(msg) => {
                     eprintln!("det-diff: {msg}");

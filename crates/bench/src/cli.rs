@@ -67,14 +67,6 @@ pub struct HarnessOpts {
     /// The failure takes the real per-cell isolation path, so CI can
     /// assert that failure manifests carry flight-recorder context.
     pub fail_cell: Option<usize>,
-    /// Slowdown injection for run-diff attribution testing
-    /// (`--slow-cell N`): grid cell `N` busy-waits for ~9× its own wall
-    /// time (min 250 ms) after simulating, inside the host span
-    /// `sweep.slow_cell_injection`. Simulated results, stdout, and every
-    /// determinism-checked artifact are untouched — only wall-clock
-    /// telemetry moves — so CI can assert that `diffrun` attributes the
-    /// regression to exactly that span.
-    pub slow_cell: Option<usize>,
 }
 
 /// Prints a usage error and exits with status 2.
@@ -105,7 +97,6 @@ impl HarnessOpts {
         let mut events_out = None;
         let mut stall_factor = crate::events::DEFAULT_STALL_FACTOR;
         let mut fail_cell = None;
-        let mut slow_cell = None;
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < args.len() {
@@ -118,13 +109,21 @@ impl HarnessOpts {
                     .parse()
                     .unwrap_or_else(|_| usage_error(&format!("{what} takes an integer")))
             };
+            // A positive `u32`: `0` would build an empty workload and a
+            // wider value must not wrap into a different run.
+            let count = |i: usize, what: &str| -> u32 {
+                match need(i).parse::<u32>() {
+                    Ok(n) if n > 0 => n,
+                    _ => usage_error(&format!("{what} takes an integer in 1..={}", u32::MAX)),
+                }
+            };
             match args[i].as_str() {
                 "--scale" => {
-                    cfg.scale = int(i, "--scale") as u32;
+                    cfg.scale = count(i, "--scale");
                     i += 2;
                 }
                 "--iters" => {
-                    cfg.iterations = int(i, "--iters") as u32;
+                    cfg.iterations = count(i, "--iters");
                     i += 2;
                 }
                 "--seed" => {
@@ -192,10 +191,6 @@ impl HarnessOpts {
                     fail_cell = Some(int(i, "--fail-cell"));
                     i += 2;
                 }
-                "--slow-cell" => {
-                    slow_cell = Some(int(i, "--slow-cell"));
-                    i += 2;
-                }
                 "--help" | "-h" => {
                     println!(
                         "options: --scale N (default 8)  --iters N  --seed N  \
@@ -203,8 +198,7 @@ impl HarnessOpts {
                          --json-out PATH  --trace-out PATH  --metrics-out PATH  \
                          --attrib-out PATH  --profile-out PATH  --audit-out PATH  \
                          --no-cache  --cache-dir DIR  --events-out PATH  \
-                         --stall-factor X (default 8)  --fail-cell N (panic injection)  \
-                         --slow-cell N (wall-clock slowdown injection)"
+                         --stall-factor X (default 8)  --fail-cell N (panic injection)"
                     );
                     std::process::exit(0);
                 }
@@ -256,7 +250,6 @@ impl HarnessOpts {
             events_out,
             stall_factor,
             fail_cell,
-            slow_cell,
         }
     }
 }

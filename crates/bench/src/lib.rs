@@ -15,6 +15,5 @@ pub mod hostperf;
 pub mod json;
 pub mod manifest;
 pub mod report;
-pub mod rundiff;
 pub mod schemas;
 pub mod sweep;

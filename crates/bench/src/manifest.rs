@@ -211,6 +211,91 @@ pub fn strip_host_perf(doc: &Json) -> Json {
     }
 }
 
+/// One leaf that differs between two determinism views: its path
+/// (`cells[0].stats.l1_hits`) and the value on each side.
+pub type PathDiff = (String, Json, Json);
+
+/// Every leaf that differs between the **determinism views** of two
+/// documents of the same schema, in document order — what
+/// `validate_json --det-diff` prints. A run manifest's view strips
+/// `hostPerf` ([`strip_host_perf`]); attribution and cycle-audit
+/// documents carry no wall-clock data and are compared whole. Any other
+/// schema, or two different ones, is refused.
+///
+/// Objects compare over the union of their members (a one-sided member
+/// diffs against `null`); arrays compare their common prefix, plus a
+/// `.length` entry when the lengths differ.
+pub fn det_diff(a: &Json, b: &Json) -> Result<Vec<PathDiff>, String> {
+    fn schema(doc: &Json) -> &str {
+        doc.get("schema").and_then(Json::as_str).unwrap_or("none")
+    }
+    let (sa, sb) = (schema(a), schema(b));
+    if sa != sb {
+        return Err(format!("schemas differ: {sa} vs {sb}"));
+    }
+    let view = |doc: &Json| match sa {
+        MANIFEST_SCHEMA => Ok(strip_host_perf(doc)),
+        ATTRIB_SCHEMA | CYCLEAUDIT_SCHEMA => Ok(doc.clone()),
+        other => Err(format!("no determinism view for schema {other}")),
+    };
+    let mut out = Vec::new();
+    diff_paths("", &view(a)?, &view(b)?, &mut out);
+    Ok(out)
+}
+
+fn diff_paths(path: &str, a: &Json, b: &Json, out: &mut Vec<PathDiff>) {
+    let member = |k: &str| {
+        if path.is_empty() {
+            k.to_string()
+        } else {
+            format!("{path}.{k}")
+        }
+    };
+    match (a, b) {
+        (Json::Obj(members_a), Json::Obj(members_b)) => {
+            for (k, va) in members_a {
+                let vb = b.get(k).unwrap_or(&Json::Null);
+                diff_paths(&member(k), va, vb, out);
+            }
+            for (k, vb) in members_b {
+                if a.get(k).is_none() {
+                    out.push((member(k), Json::Null, vb.clone()));
+                }
+            }
+            // The same members in another order still render another
+            // file, and the views must stay byte-identical.
+            let order = |m: &[(String, Json)]| -> Vec<Json> {
+                m.iter().map(|(k, _)| Json::str(k.as_str())).collect()
+            };
+            let (order_a, order_b) = (order(members_a), order(members_b));
+            if order_a != order_b
+                && order_a.len() == order_b.len()
+                && members_b.iter().all(|(k, _)| a.get(k).is_some())
+            {
+                out.push((
+                    member("(member order)"),
+                    Json::Arr(order_a),
+                    Json::Arr(order_b),
+                ));
+            }
+        }
+        (Json::Arr(items_a), Json::Arr(items_b)) => {
+            if items_a.len() != items_b.len() {
+                out.push((
+                    member("length"),
+                    Json::num_u64(items_a.len() as u64),
+                    Json::num_u64(items_b.len() as u64),
+                ));
+            }
+            for (i, (va, vb)) in items_a.iter().zip(items_b).enumerate() {
+                diff_paths(&format!("{path}[{i}]"), va, vb, out);
+            }
+        }
+        _ if a != b => out.push((path.to_string(), a.clone(), b.clone())),
+        _ => {}
+    }
+}
+
 /// Builds the `gvf.run-manifest` document. The config section contains
 /// only simulation-relevant knobs (see the module docs for why);
 /// [`emit`] appends the stripped-by-diff `hostPerf` section on top of
@@ -242,7 +327,7 @@ pub fn manifest(generator: &str, opts: &HarnessOpts, cells: &[CellRecord]) -> Js
 /// with probes forced OFF so it matches the `gvf.events` `runStart`
 /// fingerprint (probes are applied per-cell and never change results) —
 /// a probed and an unprobed run of the same grid fingerprint alike.
-/// `rundiff` pairs runs on it.
+/// perfbench's suite ledger reads it to count distinct simulations.
 fn config_json(opts: &HarnessOpts) -> Json {
     let mut base = opts.cfg.clone();
     base.probe = gvf_sim::ProbeSpec::OFF;
@@ -805,6 +890,91 @@ mod tests {
         assert_eq!(strip_host_perf(&Json::Null), Json::Null);
     }
 
+    fn sample_manifest(cells: &[CellRecord], wall_s: f64) -> Json {
+        manifest("test", &test_opts(), cells)
+            .with("hostPerf", Json::obj().with("wall_s", Json::Num(wall_s)))
+    }
+
+    #[test]
+    fn det_diff_ignores_identical_views_and_host_perf() {
+        let cells = [CellRecord::new("GOL", "cuda", &sample_stats())];
+        let m = sample_manifest(&cells, 1.0);
+        assert_eq!(det_diff(&m, &m), Ok(vec![]));
+        assert_eq!(det_diff(&m, &sample_manifest(&cells, 2.5)), Ok(vec![]));
+    }
+
+    #[test]
+    fn det_diff_names_a_mutated_counter_with_both_values() {
+        let mut stats = sample_stats();
+        let a = sample_manifest(&[CellRecord::new("GOL", "cuda", &stats)], 1.0);
+        stats.l1_hits = 999_999;
+        let b = sample_manifest(&[CellRecord::new("GOL", "cuda", &stats)], 1.0);
+        let diffs = det_diff(&a, &b).expect("same schema");
+        // The counter comes first; derived ratios built on it follow.
+        assert_eq!(
+            diffs[0],
+            (
+                "cells[0].stats.l1_hits".to_string(),
+                Json::num_u64(32),
+                Json::num_u64(999_999)
+            )
+        );
+        assert!(diffs.iter().all(|(p, _, _)| p.starts_with("cells[0].")));
+    }
+
+    #[test]
+    fn det_diff_reports_reordered_members() {
+        let a = sample_manifest(&[], 1.0);
+        let Json::Obj(mut members) = a.clone() else {
+            unreachable!("a manifest is an object")
+        };
+        members.swap(0, 1);
+        let diffs = det_diff(&a, &Json::Obj(members)).expect("same schema");
+        assert_eq!(diffs.len(), 1);
+        assert_eq!(diffs[0].0, "(member order)");
+    }
+
+    #[test]
+    fn det_diff_reports_an_added_cell_as_a_length_change() {
+        let cell = CellRecord::new("GOL", "cuda", &sample_stats());
+        let a = sample_manifest(std::slice::from_ref(&cell), 1.0);
+        let b = sample_manifest(&[cell.clone(), cell], 1.0);
+        assert_eq!(
+            det_diff(&a, &b),
+            Ok(vec![(
+                "cells.length".to_string(),
+                Json::num_u64(1),
+                Json::num_u64(2)
+            )])
+        );
+    }
+
+    #[test]
+    fn det_diff_indexes_into_attribution_per_pc_rows() {
+        let a = attribution_doc("test", &test_opts(), &[attrib_cell(5)]);
+        let b = attribution_doc("test", &test_opts(), &[attrib_cell(6)]);
+        let diffs = det_diff(&a, &b).expect("same schema");
+        assert_eq!(
+            diffs[0],
+            (
+                "cells[0].attribution.probe.loads.per_pc[0].l1_hits".to_string(),
+                Json::num_u64(5),
+                Json::num_u64(6)
+            )
+        );
+    }
+
+    #[test]
+    fn det_diff_refuses_mismatched_or_wall_clock_schemas() {
+        let cells = [attrib_cell(5)];
+        let m = sample_manifest(&cells, 1.0);
+        let attrib = attribution_doc("test", &test_opts(), &cells);
+        assert!(det_diff(&m, &attrib).is_err());
+        let profile = hostprofile_doc("test");
+        assert!(det_diff(&profile, &profile).is_err());
+        assert!(det_diff(&Json::obj(), &Json::obj()).is_err());
+    }
+
     fn test_opts() -> HarnessOpts {
         HarnessOpts {
             cfg: gvf_workloads::WorkloadConfig::tiny(),
@@ -822,12 +992,12 @@ mod tests {
             events_out: None,
             stall_factor: crate::events::DEFAULT_STALL_FACTOR,
             fail_cell: None,
-            slow_cell: None,
         }
     }
 
-    #[test]
-    fn attribution_doc_mirrors_cells_and_self_checks() {
+    /// A GOL/cuda cell whose attribution holds one vtable-pointer load
+    /// PC with `l1_hits` hits.
+    fn attrib_cell(l1_hits: u64) -> CellRecord {
         let mut report = AttribReport {
             sms: 1,
             ..AttribReport::default()
@@ -838,7 +1008,7 @@ mod tests {
                 instructions: 2,
                 lanes: 64,
                 transactions: 12,
-                l1_hits: 5,
+                l1_hits,
             },
         );
         let mut cell = CellRecord::new("GOL", "cuda", &sample_stats());
@@ -848,7 +1018,12 @@ mod tests {
             lookup: None,
             tags: None,
         });
-        let doc = attribution_doc("test", &test_opts(), &[cell]);
+        cell
+    }
+
+    #[test]
+    fn attribution_doc_mirrors_cells_and_self_checks() {
+        let doc = attribution_doc("test", &test_opts(), &[attrib_cell(5)]);
         let parsed = Json::parse(&doc.render()).expect("parse");
         assert_eq!(parsed, doc);
         assert_eq!(

@@ -91,12 +91,6 @@ pub const EVENTS: Schema = Schema {
     id: "gvf.events",
     version: 2,
 };
-/// Run-comparison artifact: semantic / performance / coverage drift
-/// between two result trees (see [`crate::rundiff`]).
-pub const RUNDIFF: Schema = Schema {
-    id: "gvf.rundiff",
-    version: 1,
-};
 
 /// Every schema the toolchain understands, in the order
 /// `validate_json --list-schemas` prints them.
@@ -111,7 +105,6 @@ pub const ALL: &[Schema] = &[
     TRAJECTORY,
     CELLCACHE,
     EVENTS,
-    RUNDIFF,
 ];
 
 #[cfg(test)]
@@ -131,13 +124,13 @@ mod tests {
 
     #[test]
     fn header_stamps_both_members() {
-        let doc = RUNDIFF.header();
+        let doc = CYCLEAUDIT.header();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
-            Some("gvf.rundiff")
+            Some("gvf.cycleaudit")
         );
         assert_eq!(doc.get("version").and_then(Json::as_num), Some(1.0));
-        assert!(RUNDIFF.matches(&doc));
+        assert!(CYCLEAUDIT.matches(&doc));
         assert!(!RUN_MANIFEST.matches(&doc));
     }
 

@@ -289,11 +289,7 @@ impl CellHooks for SweepHooks {
 /// `--fail-cell N` makes grid cell `N` panic instead of running — the
 /// injected failure takes the real isolation path (pool `catch_unwind`,
 /// failure manifest, flight recorder), which CI uses to test the
-/// telemetry end to end. `--slow-cell N` runs cell `N` normally, then
-/// busy-waits ~9× the cell's own wall time (min 250 ms) inside the
-/// `sweep.slow_cell_injection` host span: a pure wall-clock regression
-/// with untouched simulated results, which CI's rundiff gate uses to
-/// check that the span-profile attribution names the right path.
+/// telemetry end to end.
 pub fn grid(label: &str, opts: &HarnessOpts, cells: &[Cell]) -> SweepRun {
     let pool = SimPool::new(opts.jobs);
     let cache = CellCache::for_run(opts);
@@ -310,17 +306,7 @@ pub fn grid(label: &str, opts: &HarnessOpts, cells: &[Cell]) -> SweepRun {
                 panic!("injected failure (--fail-cell {i})");
             }
             let cfg = cell.config(opts, i);
-            let t0 = Instant::now();
-            let out = cache.run(i, &cell.sim, cell.strategy, &cfg, || cell.simulate(&cfg));
-            if opts.slow_cell == Some(i) {
-                let budget = (t0.elapsed() * 9).max(std::time::Duration::from_millis(250));
-                let _g = gvf_sim::spans::span("sweep.slow_cell_injection");
-                let spin = Instant::now();
-                while spin.elapsed() < budget {
-                    std::hint::spin_loop();
-                }
-            }
-            out
+            cache.run(i, &cell.sim, cell.strategy, &cfg, || cell.simulate(&cfg))
         },
         &hooks,
     );

@@ -41,7 +41,6 @@ fn opts(cache_dir: &std::path::Path, trace_first_cell: bool) -> HarnessOpts {
         events_out: None,
         stall_factor: gvf_bench::events::DEFAULT_STALL_FACTOR,
         fail_cell: None,
-        slow_cell: None,
     }
 }
 
@@ -152,10 +151,9 @@ fn overlapping_sweeps_share_cells_and_counters_reconcile() {
 }
 
 /// Every span path a sweep may record.
-const KERNEL_LEVEL_SPANS: [&str; 5] = [
+const KERNEL_LEVEL_SPANS: [&str; 4] = [
     "pool.cell",
     "pool.cell;kernel.functional",
     "pool.cell;kernel.timing",
     "pool.cell;kernel.absorb",
-    "pool.cell;sweep.slow_cell_injection",
 ];

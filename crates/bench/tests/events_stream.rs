@@ -35,7 +35,6 @@ fn opts(cache_dir: &std::path::Path, fail_cell: Option<usize>) -> HarnessOpts {
         events_out: None, // the sink is installed via events::init below
         stall_factor: events::DEFAULT_STALL_FACTOR,
         fail_cell,
-        slow_cell: None,
     }
 }
 

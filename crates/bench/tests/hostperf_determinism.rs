@@ -30,7 +30,6 @@ fn opts() -> HarnessOpts {
         events_out: None,
         stall_factor: gvf_bench::events::DEFAULT_STALL_FACTOR,
         fail_cell: None,
-        slow_cell: None,
     }
 }
 

@@ -128,9 +128,7 @@ fn clean_tree_reports_no_absent_notes() {
         !md.contains("artifact absent"),
         "a clean tree must not fabricate absence notes"
     );
-    // With no rundiff artifacts the baseline section points at the
-    // tooling instead.
-    assert!(md.contains("What changed since the baseline"));
-    assert!(md.contains("No run-comparison artifacts found"));
+    // The last section still renders after every artifact section.
+    assert!(md.contains("## Benchmark trajectory"));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -74,7 +74,7 @@ pub use probe::{
     ObsReport, Probe, ProbeSpec, RecordingProbe, StallCause, CALL_SITE_TARGET_CAP,
     CYCLE_CLASS_LABELS, STALL_CAUSES,
 };
-pub use spans::{align_exclusive, collapsed_stacks, SpanDelta, SpanStat};
+pub use spans::{collapsed_stacks, SpanStat};
 pub use stats::{Stats, STALL_INDIRECT_CALL};
 pub use timeline::{
     write_chrome_trace, TimelineProbe, TraceEvent, TraceEventKind, TIMELINE_SCHEMA,

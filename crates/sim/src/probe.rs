@@ -785,10 +785,9 @@ pub struct CycleAuditReport {
 
 /// Stable JSON member names of the six epoch-cycle classes, in the
 /// order [`CycleAuditReport::class_counts`] reports them. Every
-/// consumer that serializes, validates, or diffs a cycle-audit
-/// `classes` object (manifest emitter, `validate_json`, REPORT.md
-/// cross-checks, `rundiff` stall-mix) iterates this list instead of
-/// hand-repeating the keys.
+/// consumer that serializes or validates a cycle-audit `classes`
+/// object (manifest emitter, `validate_json`, REPORT.md cross-checks)
+/// iterates this list instead of hand-repeating the keys.
 pub const CYCLE_CLASS_LABELS: [&str; 6] = [
     "active",
     "stalledKnown",

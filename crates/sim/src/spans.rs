@@ -13,8 +13,8 @@
 //!
 //! Cost model: recording is always on, so span sites sit at kernel
 //! granularity only (`pool.cell`, `kernel.functional`, `kernel.timing`,
-//! `kernel.absorb`, `sweep.slow_cell_injection`) — a few per cell,
-//! never per epoch or per simulated event. Each span costs two
+//! `kernel.absorb`) — a few per cell, never per epoch or per simulated
+//! event. Each span costs two
 //! `Instant` reads, a hash-map bump on a thread-local table and a copy
 //! of the open path into the thread's [`live_stacks`] slot; the
 //! collapsed path is maintained incrementally, so steady-state spans
@@ -294,59 +294,6 @@ pub fn snapshot() -> Vec<SpanStat> {
     stats
 }
 
-/// One aligned span path across two profiles: its exclusive time on
-/// each side, zero-filled where the path is missing. Produced by
-/// [`align_exclusive`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanDelta {
-    /// Collapsed span path (`;`-separated).
-    pub path: String,
-    /// Exclusive nanoseconds in the baseline profile (0 if absent).
-    pub baseline_ns: u64,
-    /// Exclusive nanoseconds in the current profile (0 if absent).
-    pub current_ns: u64,
-}
-
-impl SpanDelta {
-    /// `current − baseline`, signed.
-    pub fn delta_ns(&self) -> i128 {
-        self.current_ns as i128 - self.baseline_ns as i128
-    }
-}
-
-/// Aligns two `(path, exclusive_ns)` profiles — e.g. two runs' span
-/// snapshots read back from `gvf.hostprofile` artifacts — into per-path
-/// exclusive-time deltas. Paths present on one side only are zero-filled
-/// on the other; paths whose exclusive time is identical on both sides
-/// are omitted (so diffing a profile against itself yields an empty
-/// list). Sorted by |delta| descending, ties by path, so the top-K
-/// movers are a prefix. Duplicate paths on a side are summed.
-pub fn align_exclusive(baseline: &[(String, u64)], current: &[(String, u64)]) -> Vec<SpanDelta> {
-    let mut merged: HashMap<&str, (u64, u64)> = HashMap::new();
-    for (path, ns) in baseline {
-        merged.entry(path.as_str()).or_default().0 += ns;
-    }
-    for (path, ns) in current {
-        merged.entry(path.as_str()).or_default().1 += ns;
-    }
-    let mut deltas: Vec<SpanDelta> = merged
-        .into_iter()
-        .filter(|(_, (b, c))| b != c)
-        .map(|(path, (baseline_ns, current_ns))| SpanDelta {
-            path: path.to_string(),
-            baseline_ns,
-            current_ns,
-        })
-        .collect();
-    deltas.sort_by(|a, b| {
-        b.delta_ns()
-            .abs()
-            .cmp(&a.delta_ns().abs())
-            .then_with(|| a.path.cmp(&b.path))
-    });
-    deltas
-}
-
 /// Renders spans as collapsed-stack text (`path value` per line, values
 /// in exclusive nanoseconds) — the input format of standard flamegraph
 /// generators.
@@ -446,44 +393,5 @@ mod tests {
         let (path, value) = line.rsplit_once(' ').unwrap();
         assert_eq!(path, "spans_test.collapse_me");
         assert!(value.parse::<u64>().is_ok());
-    }
-
-    fn profile(pairs: &[(&str, u64)]) -> Vec<(String, u64)> {
-        pairs.iter().map(|(p, ns)| (p.to_string(), *ns)).collect()
-    }
-
-    #[test]
-    fn align_exclusive_self_diff_is_empty() {
-        let p = profile(&[("a", 100), ("a;b", 50), ("c", 0)]);
-        assert!(align_exclusive(&p, &p).is_empty());
-    }
-
-    #[test]
-    fn align_exclusive_zero_fills_and_ranks_by_absolute_delta() {
-        let base = profile(&[("kernel.timing", 1_000), ("report", 200)]);
-        let cur = profile(&[
-            ("kernel.timing", 1_100),
-            ("report", 200),
-            ("sweep.slow_cell_injection", 9_000),
-        ]);
-        let deltas = align_exclusive(&base, &cur);
-        assert_eq!(deltas.len(), 2); // "report" is unchanged → omitted
-        assert_eq!(deltas[0].path, "sweep.slow_cell_injection");
-        assert_eq!(deltas[0].baseline_ns, 0);
-        assert_eq!(deltas[0].current_ns, 9_000);
-        assert_eq!(deltas[0].delta_ns(), 9_000);
-        assert_eq!(deltas[1].path, "kernel.timing");
-        assert_eq!(deltas[1].delta_ns(), 100);
-    }
-
-    #[test]
-    fn align_exclusive_ranks_shrinkage_too() {
-        let base = profile(&[("x", 5_000), ("y", 100)]);
-        let cur = profile(&[("y", 250)]);
-        let deltas = align_exclusive(&base, &cur);
-        assert_eq!(deltas[0].path, "x");
-        assert_eq!(deltas[0].delta_ns(), -5_000);
-        assert_eq!(deltas[1].path, "y");
-        assert_eq!(deltas[1].delta_ns(), 150);
     }
 }

@@ -4,7 +4,7 @@
 # performance with the repository benchmark and record it.
 #
 #   ./run_all.sh [--jobs N] [--out DIR] [--keep-going] [--smoke]
-#                [--quiet] [--no-cache] [--baseline DIR]
+#                [--quiet] [--no-cache]
 #
 # --jobs N is passed through to every harness binary: N concurrent
 # simulations, 0 = all cores, default = all cores. Results are
@@ -29,11 +29,10 @@
 # another build of the model are misses, so the cache is never stale.
 # An interrupted or failed run resumes by re-running the same command.
 # --no-cache disables the cell cache entirely.
-# --baseline DIR diffs this run against a previous artifact tree: after
-# validation, diffrun writes $OUT/rundiff.json (gvf.rundiff — semantic /
-# performance / coverage drift, every regression attributed), the
-# validator checks it, and the report renders it under "What changed
-# since the baseline".
+# To see what changed against an earlier tree, compare artifacts with
+# `validate_json --det-diff OLD/<bin>.json $OUT/<bin>.json` (it names
+# every counter path that moved; attribution and audit files too); a
+# host-time regression is perf_gate's FAIL line, which names the layer.
 #
 # Artifacts: $OUT/<bin>.json is each binary's gvf.run-manifest (with an
 # embedded gvf.hostperf section), $OUT/<bin>.attrib.json its
@@ -68,7 +67,6 @@ KEEP_GOING=0
 CACHE_FLAGS=()
 SMOKE_FLAGS=()
 QUIET_FLAGS=()
-BASELINE=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --jobs)
@@ -77,9 +75,6 @@ while [ $# -gt 0 ]; do
     --out)
       [ $# -ge 2 ] || { echo "error: --out needs a value" >&2; exit 2; }
       OUT="$2"; shift 2 ;;
-    --baseline)
-      [ $# -ge 2 ] || { echo "error: --baseline needs a value" >&2; exit 2; }
-      BASELINE="$2"; shift 2 ;;
     --keep-going)
       KEEP_GOING=1; shift ;;
     --smoke)
@@ -89,7 +84,7 @@ while [ $# -gt 0 ]; do
     --no-cache)
       CACHE_FLAGS=(--no-cache); shift ;;
     *)
-      echo "error: unknown argument '$1' (usage: $0 [--jobs N] [--out DIR] [--keep-going] [--smoke] [--quiet] [--no-cache] [--baseline DIR])" >&2; exit 2 ;;
+      echo "error: unknown argument '$1' (usage: $0 [--jobs N] [--out DIR] [--keep-going] [--smoke] [--quiet] [--no-cache])" >&2; exit 2 ;;
   esac
 done
 # The benchmark block below runs inside a pipe subshell (tee), so
@@ -209,16 +204,6 @@ run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
       run_step "perf_record" cargo run --release -p gvf-bench --bin perf_record -- "${QUIET_FLAGS[@]}" "${records[@]}"
       run_step "validate trajectory" cargo run --release -p gvf-bench --bin validate_json -- BENCH_gvf.json
     fi
-  fi
-
-  # Differential observability: diff this tree against the provided
-  # baseline tree and validate the artifact. Runs before the report so
-  # $OUT/rundiff.json lands in its "What changed since the baseline"
-  # section.
-  if [ -n "$BASELINE" ]; then
-    run_step "diffrun" cargo run --release -p gvf-bench --bin diffrun -- \
-      --out "$OUT/rundiff.json" "${QUIET_FLAGS[@]}" "$BASELINE" "$OUT"
-    run_step "validate rundiff" cargo run --release -p gvf-bench --bin validate_json -- "$OUT/rundiff.json"
   fi
 
   # Collate everything into the human-readable reproduction report.
