@@ -503,18 +503,32 @@ pub fn utc_date_from_epoch(epoch_secs: u64) -> String {
     format!("{year:04}-{month:02}-{day:02}")
 }
 
-/// Short git revision of the working tree, `"unknown"` when git is
+/// Short git revision of the working tree: `HEAD`'s short hash, with
+/// `-dirty` appended when tracked files differ from `HEAD` (the records
+/// then measure uncommitted code on top of it); `"unknown"` when git is
 /// unavailable (provenance only — never load-bearing, see [`gate`]).
 pub fn git_short_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let head = git(&["rev-parse", "--short", "HEAD"]).unwrap_or_default();
+    let status = git(&["status", "--porcelain", "--untracked-files=no"]);
+    rev_label(head.trim(), status.is_some_and(|s| !s.trim().is_empty()))
+}
+
+/// The trajectory's rev label for short hash `head` (empty: unknown)
+/// and whether tracked files differ from it.
+fn rev_label(head: &str, dirty: bool) -> String {
+    match (head.is_empty(), dirty) {
+        (true, _) => "unknown".to_string(),
+        (false, false) => head.to_string(),
+        (false, true) => format!("{head}-dirty"),
+    }
 }
 
 /// Today's UTC date as `YYYY-MM-DD`.
@@ -594,6 +608,14 @@ mod tests {
             .filter(|j| matches!(j.verdict, Verdict::Fail { .. } | Verdict::Incorrect))
             .map(|j| j.metric.as_str())
             .collect()
+    }
+
+    #[test]
+    fn rev_label_marks_uncommitted_trees() {
+        assert_eq!(rev_label("1709b98", false), "1709b98");
+        assert_eq!(rev_label("1709b98", true), "1709b98-dirty");
+        assert_eq!(rev_label("", false), "unknown");
+        assert_eq!(rev_label("", true), "unknown");
     }
 
     #[test]

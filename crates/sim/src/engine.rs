@@ -47,6 +47,9 @@
 //! single counter or probe event; plain epoch ticking is the reference
 //! that tests compare it against.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::cache::SectoredCache;
 use crate::config::GpuConfig;
 use crate::instr::{AccessTag, MemOp, Op, Space};
@@ -92,9 +95,6 @@ struct SectorReq {
     /// Cycle the sector may enter the L2 (post L1 latency + MSHR wait);
     /// for stores, the issue cycle.
     ready: u64,
-    /// Index of the placeholder MSHR entry to overwrite with the real
-    /// fill time (`usize::MAX` for stores, which allocate no MSHR).
-    mshr_slot: usize,
 }
 
 /// One load or store batch queued by phase A for canonical phase-B
@@ -124,28 +124,16 @@ struct SmState<P: Probe> {
     l1: SectoredCache,
     cmem: SectoredCache,
     l1_free_at: u64,
-    /// Completion times of outstanding L1 miss sectors (MSHR model):
-    /// when full, new misses wait for the earliest outstanding one.
-    /// Misses queued this epoch hold a lower-bound placeholder until
-    /// phase B computes the real fill time. Completed entries are
-    /// garbage-collected lazily (see [`sm_prologue`]) — every reader
-    /// filters on `> now`, so dead entries are invisible.
-    mshr: Vec<u64>,
-    /// Upper bound on the completion times in `mshr` (exact unless a
-    /// GC ran since the max was pushed): lets the prologue clear the
-    /// whole file in O(1) once everything completed.
-    mshr_max: u64,
-    /// Length past which the prologue compacts `mshr` (the in-flight
-    /// ceiling plus one warp of slack).
-    mshr_gc_at: usize,
-    /// Memoized MSHR back-pressure verdict (see [`SmState::mshr_gate`]):
-    /// `0` not gating, else the earliest outstanding completion the
-    /// gate waits for; [`MSHR_GATE_STALE`] after any MSHR write.
-    mshr_gate: u64,
-    /// Upper bound on the entries outstanding at any cycle from the
-    /// last gate evaluation on: set there, one more per push. Below
-    /// `mshr_per_sm` no miss can wait, so [`mshr_acquire`] is skipped.
-    mshr_busy: usize,
+    /// MSHR model: phase-B fill times of the L1 miss sectors, a
+    /// min-heap. When the file is full, new misses wait for the
+    /// earliest outstanding one. Completed fills are retired lazily by
+    /// [`SmState::load_gate`], so right after a gate query the heap
+    /// holds exactly the entries outstanding at that cycle.
+    mshr: BinaryHeap<Reverse<u64>>,
+    /// Lower-bound placeholder fill times of the misses queued this
+    /// epoch; phase B drains them, pushing each sector's real fill
+    /// time onto `mshr` instead.
+    mshr_new: Vec<u64>,
     /// Resident warp state, structure-of-arrays indexed by slot: the
     /// hot scheduler scan touches only `w_ready`, so a 64-warp SM's
     /// scan walks one dense `u64` array instead of striding through a
@@ -173,6 +161,12 @@ struct SmState<P: Probe> {
     pend_stride: usize,
     pending_warps: Vec<usize>,
     rr: usize,
+    /// Scheduler walk tables (see [`sched_tables`]): scheduler `s` owns
+    /// slots `s, s + schedulers, …`; `sched_owned[s]` counts them and
+    /// `sched_start[rr * schedulers + s]` is the first at or after
+    /// `rr`, wrapping to `s`. The slot count is fixed in `setup`.
+    sched_owned: Vec<u32>,
+    sched_start: Vec<u32>,
     /// Per-scheduler cache of the earliest cycle any of its warps can
     /// issue; `0` forces a rescan. Purely a simulation speed-up.
     sched_next: Vec<u64>,
@@ -271,39 +265,43 @@ impl<P: Probe> SmState<P> {
         self.pend_len[wi] = 0;
     }
 
-    /// MSHR back-pressure on a load issuing at `cycle`: while the file
-    /// lacks room for a full warp of misses, the earliest outstanding
-    /// completion, else `0` (an empty file always admits a load).
-    ///
-    /// Memoized until the next MSHR write and, when gating, for every
-    /// cycle before that completion: no entry completes earlier, so
-    /// the outstanding count cannot change in between. A non-gating
-    /// verdict holds until the next write, since without writes the
-    /// outstanding count only falls.
-    fn mshr_gate(&mut self, cfg: &GpuConfig, cycle: u64) -> u64 {
-        let gate = self.mshr_gate;
-        if gate == MSHR_GATE_STALE || (gate != 0 && gate <= cycle) {
-            let warp = cfg.warp_size as usize;
-            // Outstanding ≤ raw length, so a short file can never gate
-            // — skip the scan.
-            let (outstanding, earliest) = if self.mshr.len() + warp > cfg.mshr_per_sm {
-                mshr_outstanding(&self.mshr, cycle)
-            } else {
-                (self.mshr.len(), 0)
-            };
-            self.mshr_busy = outstanding;
-            self.mshr_gate = if outstanding > 0 && outstanding + warp > cfg.mshr_per_sm {
-                earliest
-            } else {
-                0
-            };
+    /// The structural terms of a load's deferral target at `cycle`: LSU
+    /// queue back-pressure and, while the MSHR file lacks room for a
+    /// full warp of misses, its earliest outstanding completion (an
+    /// empty file always admits a load). First retires the fills done
+    /// by `cycle`; the clock only advances, so no later query needs them.
+    fn load_gate(&mut self, cfg: &GpuConfig, cycle: u64) -> u64 {
+        while self.mshr.peek().is_some_and(|&Reverse(c)| c <= cycle) {
+            self.mshr.pop();
         }
-        self.mshr_gate
+        let mut until = 0;
+        if self.l1_free_at > cycle + cfg.l1_queue_cap {
+            until = self.l1_free_at - cfg.l1_queue_cap;
+        }
+        // Placeholders all complete after `cycle` (see
+        // `issue_load_phase_a`), so every entry is outstanding.
+        let outstanding = self.mshr.len() + self.mshr_new.len();
+        if outstanding > 0 && outstanding + cfg.warp_size as usize > cfg.mshr_per_sm {
+            let heap_min = self.mshr.peek().map_or(u64::MAX, |&Reverse(c)| c);
+            until = until.max(self.mshr_new.iter().fold(heap_min, |m, &c| m.min(c)));
+        }
+        until
+    }
+
+    /// MSHR entries (fills and placeholders) outstanding at `t`, i.e.
+    /// completing after it, and the earliest of their completions
+    /// (`u64::MAX` if none), by a plain scan.
+    fn mshr_scan(&self, t: u64) -> (usize, u64) {
+        let fills = self.mshr.iter().map(|&Reverse(c)| c);
+        let live = fills
+            .chain(self.mshr_new.iter().copied())
+            .filter(|&c| c > t);
+        live.fold((0, u64::MAX), |(n, e), c| (n + 1, e.min(c)))
     }
 
     /// A load's deferral target derived by full scans, reading nothing
-    /// memoized: the exactness oracle for [`SmState::mshr_gate`],
-    /// `mshr_busy` and `w_settled`.
+    /// memoized: the exactness oracle for [`SmState::load_gate`]'s heap
+    /// retirement and for `w_settled`.
     #[cfg(debug_assertions)]
     fn load_defer_reference(&self, cfg: &GpuConfig, wi: usize, tag: AccessTag, cycle: u64) -> u64 {
         let base = wi * self.pend_stride;
@@ -323,8 +321,7 @@ impl<P: Probe> SmState<P> {
         if self.l1_free_at > cycle + cfg.l1_queue_cap {
             until = until.max(self.l1_free_at - cfg.l1_queue_cap);
         }
-        let (outstanding, earliest) = mshr_outstanding(&self.mshr, cycle);
-        debug_assert!(outstanding <= self.mshr_busy, "mshr_busy below outstanding");
+        let (outstanding, earliest) = self.mshr_scan(cycle);
         if outstanding > 0 && outstanding + cfg.warp_size as usize > cfg.mshr_per_sm {
             until = until.max(earliest);
         }
@@ -332,39 +329,24 @@ impl<P: Probe> SmState<P> {
     }
 }
 
-/// [`SmState::mshr_gate`] sentinel: recompute on the next load check.
-const MSHR_GATE_STALE: u64 = u64::MAX;
-
-/// The MSHR entries outstanding at `t` (completing after it) and the
-/// earliest of their completions (`u64::MAX` if none).
-fn mshr_outstanding(mshr: &[u64], t: u64) -> (usize, u64) {
-    let mut outstanding = 0usize;
-    let mut earliest = u64::MAX;
-    for &c in mshr {
-        if c > t {
-            outstanding += 1;
-            earliest = earliest.min(c);
+/// [`SmState::sched_owned`] and [`SmState::sched_start`] for `n` warp
+/// slots over `s_count` schedulers, so the per-epoch walk divides
+/// nothing.
+fn sched_tables(n: usize, s_count: usize) -> (Vec<u32>, Vec<u32>) {
+    let owned = (0..s_count)
+        .map(|s| (s..n).step_by(s_count).count() as u32)
+        .collect();
+    let mut start = vec![0; n * s_count];
+    for s in 0..s_count {
+        let mut next = s;
+        for rr in (0..n).rev() {
+            if rr % s_count == s {
+                next = rr;
+            }
+            start[rr * s_count + s] = next as u32;
         }
     }
-    (outstanding, earliest)
-}
-
-/// Non-destructive MSHR reservation: the time a miss starting at `t`
-/// may enter the memory system, given the outstanding entries. The
-/// caller pushes the new entry itself; completed entries are garbage
-/// collected once per epoch in the prologue.
-fn mshr_acquire(mshr: &[u64], cap: usize, t: u64) -> u64 {
-    // Outstanding entries are a subset of the raw file, so a file with
-    // spare raw slots can never gate — answered O(1).
-    if mshr.len() < cap {
-        return t;
-    }
-    let (outstanding, earliest) = mshr_outstanding(mshr, t);
-    if outstanding < cap {
-        t
-    } else {
-        earliest
-    }
+    (owned, start)
 }
 
 struct MemSystem {
@@ -508,8 +490,10 @@ fn setup<P: Probe>(
     // Every capacity below is an epoch-level upper bound, so the hot
     // loop never grows a Vec (see `tests/zero_alloc.rs`): at most one
     // issue per scheduler per epoch, each coalescing to at most
-    // `warp_size` sectors; completed MSHR entries linger until the next
-    // prologue's GC on top of the `mshr_per_sm` in-flight ceiling.
+    // `warp_size` sectors. Fills are pushed onto the MSHR heap only in
+    // an epoch whose gate query retired the completed ones and admitted
+    // loads only while a full warp of misses fit (or the file was
+    // empty), so it never holds more than `max(mshr_per_sm, warp_size)`.
     let mshr_cap = cfg.mshr_per_sm + (scheds + 2) * warp_size;
     let mut sms: Vec<SmState<P>> = (0..num_sms)
         .map(|i| SmState {
@@ -517,11 +501,8 @@ fn setup<P: Probe>(
             l1: SectoredCache::new(cfg.l1_bytes, cfg.l1_ways, cfg.line_bytes, cfg.sector_bytes),
             cmem: SectoredCache::new(cfg.const_bytes, 4, 64, 64),
             l1_free_at: 0,
-            mshr: Vec::with_capacity(mshr_cap),
-            mshr_max: 0,
-            mshr_gc_at: cfg.mshr_per_sm + warp_size,
-            mshr_gate: MSHR_GATE_STALE,
-            mshr_busy: 0,
+            mshr: BinaryHeap::with_capacity(mshr_cap),
+            mshr_new: Vec::with_capacity(scheds * warp_size),
             w_trace: Vec::new(),
             w_pc: Vec::new(),
             w_ready: Vec::new(),
@@ -532,6 +513,8 @@ fn setup<P: Probe>(
             pend_stride: cfg.max_pending_loads,
             pending_warps: Vec::new(),
             rr: 0,
+            sched_owned: Vec::new(),
+            sched_start: Vec::new(),
             sched_next: vec![0; scheds],
             ff_until: 0,
             ff_live: false,
@@ -559,6 +542,7 @@ fn setup<P: Probe>(
         sm.w_settled = vec![false; take];
         sm.pend = vec![(0, 0); take * sm.pend_stride];
         sm.pend_len = vec![0; take];
+        (sm.sched_owned, sm.sched_start) = sched_tables(take, scheds);
         for _ in 0..take {
             let idx = sm.pending_warps.pop().expect("pending warp");
             sm.w_trace.push(idx as u32);
@@ -602,9 +586,8 @@ fn next_cycle(cycle: u64, issued: bool, min_next: u64) -> u64 {
 }
 
 /// Epoch prologue for one SM: finalize warps whose trace ended last
-/// epoch (their final load completions were posted by phase B since),
-/// then garbage-collect completed MSHR entries.
-fn sm_prologue<P: Probe>(sm: &mut SmState<P>, cycle: u64) {
+/// epoch (their final load completions were posted by phase B since).
+fn sm_prologue<P: Probe>(sm: &mut SmState<P>) {
     for k in 0..sm.retiring.len() {
         let (wi, retire_cycle) = sm.retiring[k];
         let drain = sm.drain_all(wi);
@@ -620,21 +603,6 @@ fn sm_prologue<P: Probe>(sm: &mut SmState<P>, cycle: u64) {
         }
     }
     sm.retiring.clear();
-    // Lazy MSHR GC. Eager per-epoch `retain` was the single hottest
-    // line in phase A (an O(len) sweep per SM per epoch, live or not);
-    // all readers filter on `> now`, so dead entries only cost scan
-    // width and can be dropped on any schedule. Clear in O(1) once
-    // everything completed, compact only when the file grows past the
-    // in-flight ceiling — each compaction then frees at least a warp's
-    // worth of slots, keeping the cost amortized O(1) per push and the
-    // length below the preallocated capacity.
-    if !sm.mshr.is_empty() {
-        if sm.mshr_max <= cycle {
-            sm.mshr.clear();
-        } else if sm.mshr.len() >= sm.mshr_gc_at {
-            sm.mshr.retain(|&c| c > cycle);
-        }
-    }
 }
 
 /// Phase A for one SM and one cycle: the warp schedulers. SM-local by
@@ -646,7 +614,7 @@ fn sm_epoch<P: Probe>(
     cycle: u64,
 ) -> EpochOut {
     sm.probe.epoch(cycle);
-    sm_prologue(sm, cycle);
+    sm_prologue(sm);
     let mut out = EpochOut {
         live: false,
         issued: false,
@@ -678,25 +646,11 @@ fn sm_epoch<P: Probe>(
         // `(rr + k) % n` visited after its ownership filter, in the
         // same circular order starting from the first owned slot at or
         // after `rr`.
-        let owned = if sched < n {
-            (n - 1 - sched) / s_count + 1
-        } else {
-            0
-        };
         let mut chosen: Option<usize> = None;
         let mut sched_min = u64::MAX;
+        let owned = sm.sched_owned[sched];
         if owned > 0 {
-            let rr = sm.rr;
-            let mut wi = if rr <= sched {
-                sched
-            } else {
-                let next = sched + (rr - sched).div_ceil(s_count) * s_count;
-                if next < n {
-                    next
-                } else {
-                    sched
-                }
-            };
+            let mut wi = sm.sched_start[sm.rr * s_count + sched] as usize;
             for _ in 0..owned {
                 let r = sm.w_ready[wi];
                 if r <= cycle {
@@ -725,54 +679,61 @@ fn sm_epoch<P: Probe>(
         // next cycle.
         any_chosen = true;
         sm.sched_next[sched] = 0;
-        sm.rr = (wi + 1) % n;
+        sm.rr = if wi + 1 == n { 0 } else { wi + 1 };
 
         let trace_idx = sm.w_trace[wi] as usize;
         let pc = sm.w_pc[wi] as usize;
-        let op = &kernel.warps[trace_idx].ops()[pc];
 
         // Scoreboard check: an op whose operands are still in flight
         // (or a load with the MLP queue full) does not issue now — the
         // warp retries once ready, keeping resource reservations
         // causal.
-        let defer_until = match op {
-            Op::IndirectCall { .. } => {
-                sm.dep_ready(wi, &[AccessTag::ConstIndirection, AccessTag::VfuncPtr])
-            }
-            Op::Mem(m) if !m.is_store => {
-                let mut until = sm.mshr_gate(cfg, cycle);
-                // LSU queue back-pressure.
-                if sm.l1_free_at > cycle + cfg.l1_queue_cap {
-                    until = until.max(sm.l1_free_at - cfg.l1_queue_cap);
+        let defer_until = if sm.w_settled[wi] {
+            // A settled warp's op is a load whose operand and MLP-cap
+            // terms its `w_ready` covered: only the LSU and MSHR terms
+            // can still hold it, and checking them reads no trace.
+            sm.load_gate(cfg, cycle)
+        } else {
+            match &kernel.warps[trace_idx].ops()[pc] {
+                Op::IndirectCall { .. } => {
+                    sm.dep_ready(wi, &[AccessTag::ConstIndirection, AccessTag::VfuncPtr])
                 }
-                // Operand and MLP-cap terms. A settled warp skips them
-                // and prunes its arena only once the load issues.
-                let settled = sm.w_settled[wi];
-                if !settled || until <= cycle {
+                Op::Mem(m) if !m.is_store => {
                     sm.prune(wi, cycle);
-                }
-                if !settled {
-                    until = until.max(sm.dep_ready(wi, dep_tags(m.tag)));
+                    let mut until = sm
+                        .load_gate(cfg, cycle)
+                        .max(sm.dep_ready(wi, dep_tags(m.tag)));
                     if sm.pend_len[wi] as usize >= cfg.max_pending_loads {
                         until = until.max(sm.pend_oldest(wi));
                     }
+                    sm.w_settled[wi] = until > cycle;
+                    until
                 }
-                sm.w_settled[wi] = until > cycle;
-                #[cfg(debug_assertions)]
-                debug_assert_eq!(
-                    until,
-                    sm.load_defer_reference(cfg, wi, m.tag, cycle),
-                    "memoized scoreboard diverged from the full scan"
-                );
-                until
+                _ => 0,
             }
-            _ => 0,
         };
+        // Every load's target, settled or not, against the full scans.
+        #[cfg(debug_assertions)]
+        match &kernel.warps[trace_idx].ops()[pc] {
+            Op::Mem(m) if !m.is_store => debug_assert_eq!(
+                defer_until,
+                sm.load_defer_reference(cfg, wi, m.tag, cycle),
+                "scoreboard check diverged from the full scan"
+            ),
+            _ => debug_assert!(!sm.w_settled[wi], "settled warp on a non-load op"),
+        }
         if defer_until > cycle {
             sm.w_ready[wi] = defer_until;
             out.min_next = out.min_next.min(defer_until);
             continue;
         }
+        if sm.w_settled[wi] {
+            // A settled load issues: its arena is pruned once, now,
+            // before anything is pushed.
+            sm.w_settled[wi] = false;
+            sm.prune(wi, cycle);
+        }
+        let op = &kernel.warps[trace_idx].ops()[pc];
         out.issued = true;
         sm.probe.issue(cycle, trace_idx, pc, op);
 
@@ -825,8 +786,7 @@ fn sm_epoch<P: Probe>(
     // Arm the fast-forward cache. On a quiet epoch nothing SM-local
     // mutates until `out.min_next` (phase B only posts completions for
     // requests this SM queued this epoch — there are none), so every
-    // epoch until then replays this exact outcome; the skipped MSHR GC
-    // is result-identical because all readers filter on `> cycle`.
+    // epoch until then replays this exact outcome.
     sm.ff_until = if !any_chosen && sm.retiring.is_empty() {
         sm.ff_live = out.live;
         out.min_next
@@ -893,7 +853,6 @@ fn issue_store_phase_a<P: Probe>(
         sm.sectors.push(SectorReq {
             sector: sm.scratch[k],
             ready: cycle,
-            mshr_slot: usize::MAX,
         });
     }
     sm.reqs.push(MemRequest {
@@ -1000,24 +959,24 @@ fn issue_load_phase_a<P: Probe>(
                         known_done = known_done.max(t1 + cfg.l1_latency);
                     } else {
                         // A miss needs an MSHR slot before entering L2/DRAM.
-                        let want = t1 + cfg.l1_latency;
-                        let tm = if sm.mshr_busy < cfg.mshr_per_sm {
-                            want
-                        } else {
-                            mshr_acquire(&sm.mshr, cfg.mshr_per_sm, want)
-                        };
-                        debug_assert_eq!(tm, mshr_acquire(&sm.mshr, cfg.mshr_per_sm, want));
-                        let slot = sm.mshr.len();
-                        // Lower-bound placeholder; phase B writes the real
-                        // fill time before any later epoch reads it.
-                        sm.mshr.push(tm + cfg.l2_latency);
-                        sm.mshr_max = sm.mshr_max.max(tm + cfg.l2_latency);
-                        sm.mshr_busy += 1;
-                        sm.mshr_gate = MSHR_GATE_STALE;
+                        // Outstanding entries are a subset of the stored
+                        // ones, so only a full store can make it wait.
+                        let mut tm = t1 + cfg.l1_latency;
+                        if sm.mshr.len() + sm.mshr_new.len() >= cfg.mshr_per_sm {
+                            let (outstanding, earliest) = sm.mshr_scan(tm);
+                            if outstanding >= cfg.mshr_per_sm {
+                                tm = earliest;
+                            }
+                        }
+                        // Lower-bound placeholder until phase B pushes the
+                        // real fill; one at or before `cycle` (zero L1 and
+                        // L2 latency) is complete for this epoch's checks.
+                        if tm + cfg.l2_latency > cycle {
+                            sm.mshr_new.push(tm + cfg.l2_latency);
+                        }
                         sm.sectors.push(SectorReq {
                             sector: s,
                             ready: tm,
-                            mshr_slot: slot,
                         });
                     }
                 }
@@ -1081,11 +1040,7 @@ fn mem_phase_b<P: Probe>(
         } else {
             let mut done = req.known_done;
             for k in req.sec_start..req.sec_start + req.sec_len {
-                let SectorReq {
-                    sector,
-                    ready,
-                    mshr_slot,
-                } = sm.sectors[k];
+                let SectorReq { sector, ready } = sm.sectors[k];
                 let addr = sector * cfg.sector_bytes;
                 let slice = (sector % memsys.l2_free_at.len() as u64) as usize;
                 let t2 = memsys.l2_free_at[slice].max(ready);
@@ -1102,9 +1057,11 @@ fn mem_phase_b<P: Probe>(
                     sm.probe.dram_access(td);
                     td + cfg.dram_latency
                 };
-                sm.mshr[mshr_slot] = filled;
-                sm.mshr_max = sm.mshr_max.max(filled);
-                sm.mshr_gate = MSHR_GATE_STALE;
+                debug_assert!(
+                    sm.mshr.len() < sm.mshr.capacity(),
+                    "MSHR heap would reallocate"
+                );
+                sm.mshr.push(Reverse(filled));
                 done = done.max(filled);
             }
             memstats.stall_by_tag[req.tag_idx] += done.saturating_sub(req.issue_cycle);
@@ -1120,6 +1077,7 @@ fn mem_phase_b<P: Probe>(
     }
     sm.reqs.clear();
     sm.sectors.clear();
+    sm.mshr_new.clear();
 }
 
 /// Merges the per-SM partial stats, memory-system stats and cache
@@ -1137,7 +1095,7 @@ fn finish<P: Probe>(
     // Also the single end-of-run point where probes may snapshot their
     // SM's L1.
     for sm in sms.iter_mut() {
-        sm_prologue(sm, cycle);
+        sm_prologue(sm);
         sm.probe.cache_final(&sm.l1);
     }
     let mut stats = base;
@@ -1508,7 +1466,7 @@ mod scoreboard_tests {
     fn mshr_below_warp_size_admits_a_full_burst() {
         // An MSHR file smaller than a warp: the empty file still admits
         // a 32-sector miss burst, and the sectors past the cap wait for
-        // the earliest fill (`mshr_acquire`'s scan, not its fast path).
+        // the earliest fill (the MSHR scan, not its fast path).
         let burst = |base: u64| ld((0..32).map(|l| base + l * 128).collect(), AccessTag::Field);
         let kernel = one(vec![burst(0x90_0000), burst(0xA0_0000)]);
         let mut cfg = GpuConfig::small();
@@ -1623,6 +1581,41 @@ mod epoch_tests {
         view.warps = plain.warps;
         view.vfunc_calls = plain.vfunc_calls;
         assert_eq!(view, plain, "aggregated probe view diverged from Stats");
+    }
+
+    #[test]
+    fn sched_tables_match_division_formulas() {
+        // The per-epoch formulas the tables replaced.
+        for n in 1..=64 {
+            for s_count in 1..=4 {
+                let (owned, start) = sched_tables(n, s_count);
+                for sched in 0..s_count {
+                    let want_owned = if sched < n {
+                        (n - 1 - sched) / s_count + 1
+                    } else {
+                        0
+                    };
+                    assert_eq!(owned[sched] as usize, want_owned, "n {n} s {s_count}");
+                    for rr in 0..n {
+                        let want_start = if rr <= sched {
+                            sched
+                        } else {
+                            let next = sched + (rr - sched).div_ceil(s_count) * s_count;
+                            if next < n {
+                                next
+                            } else {
+                                sched
+                            }
+                        };
+                        assert_eq!(
+                            start[rr * s_count + sched] as usize,
+                            want_start,
+                            "n {n} s {s_count} sched {sched} rr {rr}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

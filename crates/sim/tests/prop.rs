@@ -313,10 +313,10 @@ fn arb_mshr_flood(rng: &mut Rng) -> KernelTrace {
     KernelTrace { warps }
 }
 
-/// The scoreboard's MSHR memo, settled-warp re-checks and
-/// `mshr_acquire` fast path under sustained back-pressure, with MSHR
+/// The scoreboard's MSHR fill heap, settled-warp re-checks and the
+/// MSHR admission fast path under sustained back-pressure, with MSHR
 /// files below, just above and well above a warp of misses. Debug
-/// builds re-derive every memoized verdict with the full scan inside
+/// builds re-derive every load's deferral target with full scans inside
 /// the engine; here fast-forward must also match plain epoch ticking.
 #[test]
 fn mshr_saturating_kernels_match_tick_reference() {
