@@ -23,6 +23,11 @@ pub struct DeviceMemory {
     mmu: Mmu,
     frames: Vec<Box<[u8; FRAME_BYTES]>>,
     brk: u64,
+    /// One-entry `(vpn, pfn)` page memo in front of the MMU, for the
+    /// page the last access resolved to. Pages are never unmapped, so
+    /// it cannot go stale; the tag policy is applied before it on every
+    /// access, so faults and fault counters are unchanged.
+    last_page: (u64, usize),
 }
 
 impl DeviceMemory {
@@ -43,6 +48,8 @@ impl DeviceMemory {
             frames: Vec::new(),
             // Skip the zero page so that null pointers stay invalid.
             brk: PAGE_SIZE,
+            // u64::MAX is never a vpn, so the empty memo never hits.
+            last_page: (u64::MAX, 0),
         }
     }
 
@@ -74,12 +81,21 @@ impl DeviceMemory {
         VirtAddr::new(self.brk)
     }
 
-    fn frame_mut(&mut self, pfn: u64) -> &mut [u8; FRAME_BYTES] {
-        let idx = pfn as usize;
-        while self.frames.len() <= idx {
-            self.frames.push(Box::new([0u8; FRAME_BYTES]));
+    /// Resolves `addr` to its frame index and in-page offset: the tag
+    /// policy on every call, then the page memo, then the MMU. Frames
+    /// are materialised on first resolution.
+    #[inline]
+    fn locate(&mut self, addr: VirtAddr) -> MemResult<(usize, usize)> {
+        let canonical = self.mmu.canonicalize(addr)?;
+        let vpn = canonical.vpn();
+        if vpn != self.last_page.0 {
+            let pfn = self.mmu.translate_canonical(canonical)?.pfn() as usize;
+            while self.frames.len() <= pfn {
+                self.frames.push(Box::new([0u8; FRAME_BYTES]));
+            }
+            self.last_page = (vpn, pfn);
         }
-        &mut self.frames[idx]
+        Ok((self.last_page.1, canonical.page_offset() as usize))
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -89,13 +105,9 @@ impl DeviceMemory {
     pub fn read_bytes(&mut self, addr: VirtAddr, buf: &mut [u8]) -> MemResult<()> {
         let mut done = 0usize;
         while done < buf.len() {
-            let cur = addr.offset(done as u64);
-            let pa = self.mmu.translate(cur)?;
-            let in_page = (FRAME_BYTES as u64 - pa.page_offset()) as usize;
-            let n = in_page.min(buf.len() - done);
-            let frame = self.frame_mut(pa.pfn());
-            let off = pa.page_offset() as usize;
-            buf[done..done + n].copy_from_slice(&frame[off..off + n]);
+            let (pfn, off) = self.locate(addr.offset(done as u64))?;
+            let n = (FRAME_BYTES - off).min(buf.len() - done);
+            buf[done..done + n].copy_from_slice(&self.frames[pfn][off..off + n]);
             done += n;
         }
         Ok(())
@@ -108,14 +120,83 @@ impl DeviceMemory {
     pub fn write_bytes(&mut self, addr: VirtAddr, buf: &[u8]) -> MemResult<()> {
         let mut done = 0usize;
         while done < buf.len() {
-            let cur = addr.offset(done as u64);
-            let pa = self.mmu.translate(cur)?;
-            let in_page = (FRAME_BYTES as u64 - pa.page_offset()) as usize;
-            let n = in_page.min(buf.len() - done);
-            let frame = self.frame_mut(pa.pfn());
-            let off = pa.page_offset() as usize;
-            frame[off..off + n].copy_from_slice(&buf[done..done + n]);
+            let (pfn, off) = self.locate(addr.offset(done as u64))?;
+            let n = (FRAME_BYTES - off).min(buf.len() - done);
+            self.frames[pfn][off..off + n].copy_from_slice(&buf[done..done + n]);
             done += n;
+        }
+        Ok(())
+    }
+
+    /// Reads `out.len()` consecutive little-endian values of `width`
+    /// (1–8) bytes starting at `addr`, zero-extended — one contiguous
+    /// run of a warp's lanes. Within one page the values are decoded
+    /// straight from the frame after a single translation (a run inside
+    /// a page shares its tag bits, so one tag check covers it); a run
+    /// that straddles a page takes the byte path, value by value.
+    ///
+    /// # Errors
+    /// Propagates MMU faults.
+    ///
+    /// # Panics
+    /// Panics if `width` is not in `1..=8`.
+    pub fn read_run(&mut self, addr: VirtAddr, width: u8, out: &mut [u64]) -> MemResult<()> {
+        let w = width as usize;
+        let len = out.len() * w;
+        if addr.page_offset() as usize + len > FRAME_BYTES {
+            for (k, v) in out.iter_mut().enumerate() {
+                let mut buf = [0u8; 8];
+                self.read_bytes(addr.offset((k * w) as u64), &mut buf[..w])?;
+                *v = u64::from_le_bytes(buf);
+            }
+            return Ok(());
+        }
+        let (pfn, off) = self.locate(addr)?;
+        let bytes = &self.frames[pfn][off..off + len];
+        match width {
+            1 => decode::<1>(bytes, out),
+            2 => decode::<2>(bytes, out),
+            3 => decode::<3>(bytes, out),
+            4 => decode::<4>(bytes, out),
+            5 => decode::<5>(bytes, out),
+            6 => decode::<6>(bytes, out),
+            7 => decode::<7>(bytes, out),
+            8 => decode::<8>(bytes, out),
+            _ => panic!("run width must be 1..=8 bytes"),
+        }
+        Ok(())
+    }
+
+    /// Writes the low `width` (1–8) bytes of each of `values`,
+    /// little-endian, back to back from `addr` — the store side of
+    /// [`read_run`](Self::read_run), with the same page rules.
+    ///
+    /// # Errors
+    /// Propagates MMU faults.
+    ///
+    /// # Panics
+    /// Panics if `width` is not in `1..=8`.
+    pub fn write_run(&mut self, addr: VirtAddr, width: u8, values: &[u64]) -> MemResult<()> {
+        let w = width as usize;
+        let len = values.len() * w;
+        if addr.page_offset() as usize + len > FRAME_BYTES {
+            for (k, v) in values.iter().enumerate() {
+                self.write_bytes(addr.offset((k * w) as u64), &v.to_le_bytes()[..w])?;
+            }
+            return Ok(());
+        }
+        let (pfn, off) = self.locate(addr)?;
+        let bytes = &mut self.frames[pfn][off..off + len];
+        match width {
+            1 => encode::<1>(values, bytes),
+            2 => encode::<2>(values, bytes),
+            3 => encode::<3>(values, bytes),
+            4 => encode::<4>(values, bytes),
+            5 => encode::<5>(values, bytes),
+            6 => encode::<6>(values, bytes),
+            7 => encode::<7>(values, bytes),
+            8 => encode::<8>(values, bytes),
+            _ => panic!("run width must be 1..=8 bytes"),
         }
         Ok(())
     }
@@ -134,6 +215,25 @@ impl DeviceMemory {
             done += n as u64;
         }
         Ok(())
+    }
+}
+
+/// Decodes `W`-byte little-endian values from `bytes` into `out`; a
+/// const width turns each value's copy into fixed-size moves.
+#[inline]
+fn decode<const W: usize>(bytes: &[u8], out: &mut [u64]) {
+    for (v, chunk) in out.iter_mut().zip(bytes.chunks_exact(W)) {
+        let mut buf = [0u8; 8];
+        buf[..W].copy_from_slice(chunk);
+        *v = u64::from_le_bytes(buf);
+    }
+}
+
+/// Encodes the low `W` bytes of each value, little-endian, into `bytes`.
+#[inline]
+fn encode<const W: usize>(values: &[u64], bytes: &mut [u8]) {
+    for (v, chunk) in values.iter().zip(bytes.chunks_exact_mut(W)) {
+        chunk.copy_from_slice(&v.to_le_bytes()[..W]);
     }
 }
 

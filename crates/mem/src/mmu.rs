@@ -6,7 +6,7 @@ use crate::page::PageTable;
 
 /// Slots in the MMU's direct-mapped software TLB (must be a power of
 /// two). 64 entries cover 256 KiB of working set — enough that the
-/// per-lane translations of a warp-wide access almost always hit.
+/// translations of a warp-wide access almost always hit.
 const TLB_SLOTS: usize = 64;
 
 /// Tag-bit policy of the MMU (paper §6.3).
@@ -32,13 +32,12 @@ pub struct Mmu {
     mode: MmuMode,
     demand_paging: bool,
     non_canonical_faults: u64,
-    translations: u64,
     /// Direct-mapped `(vpn, pfn)` lookaside over the page table, keyed
     /// by `vpn % TLB_SLOTS`. A pure software accelerator, not an
     /// architectural model: pages are never unmapped so entries cannot
-    /// go stale, canonicalization happens before the lookup, and every
-    /// counter (`translations`, `non_canonical_faults`,
-    /// `faults_served`) advances exactly as without it.
+    /// go stale, and the tag policy is applied before the lookup, so
+    /// `non_canonical_faults` and the page table's `faults_served`
+    /// advance exactly as without it.
     tlb: Box<[(u64, u64); TLB_SLOTS]>,
 }
 
@@ -53,7 +52,6 @@ impl Mmu {
             mode,
             demand_paging: true,
             non_canonical_faults: 0,
-            translations: 0,
             // u64::MAX can never be a vpn (addresses are 52-bit pages),
             // so fresh slots never false-hit.
             tlb: Box::new([(u64::MAX, 0); TLB_SLOTS]),
@@ -83,17 +81,36 @@ impl Mmu {
     /// [`MemFault::Unmapped`] when the page is absent and demand paging is
     /// off; [`MemFault::OutOfMemory`] when no frame is available.
     pub fn translate(&mut self, addr: VirtAddr) -> MemResult<PhysAddr> {
-        self.translations += 1;
-        let canonical = match self.mode {
-            MmuMode::Strict => {
-                if !addr.is_canonical() {
-                    self.non_canonical_faults += 1;
-                    return Err(MemFault::NonCanonical { addr });
-                }
-                addr
+        let canonical = self.canonicalize(addr)?;
+        self.translate_canonical(canonical)
+    }
+
+    /// Applies the tag policy alone: the canonical address, or (strict
+    /// mode, tag bits set) a counted [`MemFault::NonCanonical`].
+    ///
+    /// # Errors
+    /// [`MemFault::NonCanonical`] in strict mode with tag bits set.
+    #[inline]
+    pub(crate) fn canonicalize(&mut self, addr: VirtAddr) -> MemResult<VirtAddr> {
+        match self.mode {
+            MmuMode::Strict if !addr.is_canonical() => {
+                self.non_canonical_faults += 1;
+                Err(MemFault::NonCanonical { addr })
             }
-            MmuMode::IgnoreTagBits => addr.strip_tag(),
-        };
+            MmuMode::Strict => Ok(addr),
+            MmuMode::IgnoreTagBits => Ok(addr.strip_tag()),
+        }
+    }
+
+    /// Translates an address that already passed
+    /// [`canonicalize`](Self::canonicalize), serving demand faults if
+    /// enabled.
+    ///
+    /// # Errors
+    /// [`MemFault::Unmapped`] when the page is absent and demand paging
+    /// is off; [`MemFault::OutOfMemory`] when no frame is available.
+    pub(crate) fn translate_canonical(&mut self, canonical: VirtAddr) -> MemResult<PhysAddr> {
+        debug_assert!(canonical.is_canonical(), "tag policy not applied");
         let vpn = canonical.vpn();
         let slot = vpn as usize & (TLB_SLOTS - 1);
         let (cached_vpn, cached_pfn) = self.tlb[slot];
@@ -120,16 +137,7 @@ impl Mmu {
     /// [`MemFault::NonCanonical`] in strict mode with tag bits set;
     /// [`MemFault::OutOfMemory`] when no frame is available.
     pub fn map_range(&mut self, base: VirtAddr, len: u64) -> MemResult<()> {
-        let base = match self.mode {
-            MmuMode::Strict => {
-                if !base.is_canonical() {
-                    self.non_canonical_faults += 1;
-                    return Err(MemFault::NonCanonical { addr: base });
-                }
-                base
-            }
-            MmuMode::IgnoreTagBits => base.strip_tag(),
-        };
+        let base = self.canonicalize(base)?;
         self.page_table.map_range(base, len)
     }
 
@@ -141,11 +149,6 @@ impl Mmu {
     /// Number of non-canonical faults raised so far.
     pub fn non_canonical_faults(&self) -> u64 {
         self.non_canonical_faults
-    }
-
-    /// Total translations performed.
-    pub fn translations(&self) -> u64 {
-        self.translations
     }
 }
 

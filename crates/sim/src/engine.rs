@@ -52,7 +52,7 @@ use std::collections::BinaryHeap;
 
 use crate::cache::SectoredCache;
 use crate::config::GpuConfig;
-use crate::instr::{AccessTag, MemOp, Op, Space};
+use crate::instr::{AccessTag, InstrClass, MemOp, Op, Space};
 use crate::probe::{NopProbe, Probe, StallCause};
 use crate::stats::{Stats, STALL_INDIRECT_CALL};
 use crate::trace::{KernelTrace, WarpTrace};
@@ -479,8 +479,8 @@ fn setup<P: Probe>(
     base.warps = kernel.warps.len() as u64;
     base.vfunc_calls = kernel.vfunc_calls();
     for w in &kernel.warps {
-        for op in w.ops() {
-            base.count_instrs(op.class(), op.dyn_count());
+        for class in InstrClass::ALL {
+            base.count_instrs(class, w.dyn_instrs_of(class));
         }
     }
 

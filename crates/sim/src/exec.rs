@@ -171,6 +171,8 @@ impl<'m> WarpCtx<'m> {
         self.with_mask(!pred, else_f);
     }
 
+    /// Gathers the active lanes that carry an address and records the
+    /// memory op in the trace.
     fn emit_mem(
         &mut self,
         space: Space,
@@ -178,28 +180,39 @@ impl<'m> WarpCtx<'m> {
         width: u8,
         tag: AccessTag,
         addrs: &Lanes<VirtAddr>,
-    ) -> u32 {
+    ) -> LaneRuns {
+        let mut lanes = LaneRuns {
+            n: 0,
+            lane: [0; WARP_SIZE],
+            addr: [0; WARP_SIZE],
+        };
         let mut mask = 0u32;
-        for lane in 0..WARP_SIZE {
-            if self.is_active(lane) && addrs[lane].is_some() {
+        let mut active = self.mask;
+        while active != 0 {
+            let lane = active.trailing_zeros() as usize;
+            active &= active - 1;
+            if let Some(a) = addrs[lane] {
                 mask |= 1 << lane;
+                lanes.lane[lanes.n] = lane as u8;
+                lanes.addr[lanes.n] = a.raw();
+                lanes.n += 1;
             }
         }
         if mask != 0 {
-            // The dense addresses go straight into the trace's lane
-            // arena — recording a memory op never heap-allocates.
+            // The addresses go straight into the trace's lane arena —
+            // recording a memory op never heap-allocates.
             self.trace.push_mem(
                 space,
                 is_store,
                 width,
                 mask,
                 tag,
-                (0..WARP_SIZE)
-                    .filter(|l| (mask >> l) & 1 == 1)
-                    .map(|l| addrs[l].expect("masked lane has address").canonical()),
+                lanes.addr[..lanes.n]
+                    .iter()
+                    .map(|&a| VirtAddr::new(a).canonical()),
             );
         }
-        mask
+        lanes
     }
 
     /// Per-lane load of `width` (1–8) bytes, zero-extended to `u64`.
@@ -228,74 +241,68 @@ impl<'m> WarpCtx<'m> {
         addrs: &Lanes<VirtAddr>,
     ) -> Lanes<u64> {
         assert!((1..=8).contains(&width), "load width must be 1..=8 bytes");
-        let mask = self.emit_mem(space, false, width, tag, addrs);
-        let mut out = lanes_none();
-        let w = width as usize;
-        // Lanes overwhelmingly touch consecutive addresses (linear and
-        // AoS field layouts), so fold maximal contiguous runs into one
-        // device read each instead of 32 per-lane calls — the bytes
-        // read are identical, only the host-side call count changes.
-        let mut run = [0u8; 8 * WARP_SIZE];
-        let mut lane = 0;
-        while lane < WARP_SIZE {
-            if (mask >> lane) & 1 == 0 {
-                lane += 1;
-                continue;
-            }
-            let base = addrs[lane].expect("masked lane has address");
-            let mut len = 1;
-            while lane + len < WARP_SIZE
-                && (mask >> (lane + len)) & 1 == 1
-                && addrs[lane + len].map(|a| a.raw()) == Some(base.raw() + (len * w) as u64)
-            {
-                len += 1;
-            }
+        let lanes = self.emit_mem(space, false, width, tag, addrs);
+        // Dense values, one per entry of `lanes`: one device call per
+        // run, and a uniform run reads once and broadcasts.
+        let mut vals = [0u64; WARP_SIZE];
+        let mut i = 0;
+        while i < lanes.n {
+            let (end, uniform) = lanes.run_from(i, width);
+            let read_end = if uniform { i + 1 } else { end };
             self.mem
-                .read_bytes(base, &mut run[..len * w])
-                .unwrap_or_else(|e| panic!("device trap on load at lane {lane}: {e}"));
-            for k in 0..len {
-                let mut buf = [0u8; 8];
-                buf[..w].copy_from_slice(&run[k * w..(k + 1) * w]);
-                out[lane + k] = Some(u64::from_le_bytes(buf));
+                .read_run(VirtAddr::new(lanes.addr[i]), width, &mut vals[i..read_end])
+                .unwrap_or_else(|e| panic!("device trap on load at lane {}: {e}", lanes.lane[i]));
+            if uniform {
+                let v = vals[i];
+                vals[i + 1..end].fill(v);
             }
-            lane += len;
+            i = end;
+        }
+        let mut out = lanes_none();
+        for k in 0..lanes.n {
+            out[lanes.lane[k] as usize] = Some(vals[k]);
+        }
+        if cfg!(debug_assertions) {
+            // Oracle: every loaded lane re-read through the byte path.
+            for k in 0..lanes.n {
+                let mut buf = [0u8; 8];
+                self.mem
+                    .read_bytes(VirtAddr::new(lanes.addr[k]), &mut buf[..width as usize])
+                    .expect("run read succeeded, byte read must too");
+                debug_assert_eq!(vals[k], u64::from_le_bytes(buf), "lane {}", lanes.lane[k]);
+            }
         }
         out
     }
 
     /// Per-lane store of the low `width` bytes of each value.
     ///
+    /// Lanes that share an address store in lane order, so the last
+    /// such lane's value is the one left in memory.
+    ///
     /// # Panics
     /// Panics on an MMU fault, like [`ld`](Self::ld).
     pub fn st(&mut self, tag: AccessTag, width: u8, addrs: &Lanes<VirtAddr>, values: &Lanes<u64>) {
         assert!((1..=8).contains(&width), "store width must be 1..=8 bytes");
-        let mask = self.emit_mem(Space::Global, true, width, tag, addrs);
-        let w = width as usize;
-        // Same contiguous-run batching as the load path: gather the
-        // run's little-endian bytes, then one device write.
-        let mut run = [0u8; 8 * WARP_SIZE];
-        let mut lane = 0;
-        while lane < WARP_SIZE {
-            if (mask >> lane) & 1 == 0 {
-                lane += 1;
-                continue;
-            }
-            let base = addrs[lane].expect("masked lane has address");
-            let mut len = 1;
-            while lane + len < WARP_SIZE
-                && (mask >> (lane + len)) & 1 == 1
-                && addrs[lane + len].map(|a| a.raw()) == Some(base.raw() + (len * w) as u64)
-            {
-                len += 1;
-            }
-            for k in 0..len {
-                let v = values[lane + k].expect("store value for active lane");
-                run[k * w..(k + 1) * w].copy_from_slice(&v.to_le_bytes()[..w]);
-            }
+        let lanes = self.emit_mem(Space::Global, true, width, tag, addrs);
+        let mut vals = [0u64; WARP_SIZE];
+        for k in 0..lanes.n {
+            vals[k] = values[lanes.lane[k] as usize].expect("store value for active lane");
+        }
+        let mut i = 0;
+        while i < lanes.n {
+            let (end, uniform) = lanes.run_from(i, width);
+            // A uniform run is one write of its last lane's value: the
+            // last writer in lane order wins.
+            let run = if uniform {
+                &vals[end - 1..end]
+            } else {
+                &vals[i..end]
+            };
             self.mem
-                .write_bytes(base, &run[..len * w])
-                .unwrap_or_else(|e| panic!("device trap on store at lane {lane}: {e}"));
-            lane += len;
+                .write_run(VirtAddr::new(lanes.addr[i]), width, run)
+                .unwrap_or_else(|e| panic!("device trap on store at lane {}: {e}", lanes.lane[i]));
+            i = end;
         }
     }
 
@@ -324,6 +331,40 @@ impl<'m> WarpCtx<'m> {
     pub fn st_f32(&mut self, tag: AccessTag, addrs: &Lanes<VirtAddr>, values: &Lanes<f32>) {
         let raw = lanes_from_fn(|i| values[i].map(|v| v.to_bits() as u64));
         self.st(tag, 4, addrs, &raw);
+    }
+}
+
+/// The active lanes of one memory op that carry an address, in lane
+/// order, with their raw (tagged) addresses.
+struct LaneRuns {
+    /// Number of such lanes.
+    n: usize,
+    /// Lane index of each entry.
+    lane: [u8; WARP_SIZE],
+    /// Raw address of each entry.
+    addr: [u64; WARP_SIZE],
+}
+
+impl LaneRuns {
+    /// The run starting at entry `i`: its end (exclusive) and whether it
+    /// is warp-uniform (every entry the same address) rather than
+    /// contiguous (each address `width` bytes past the previous one). A
+    /// single entry is a contiguous run of one. Equality is on raw
+    /// addresses, so a run never mixes tags.
+    #[inline]
+    fn run_from(&self, i: usize, width: u8) -> (usize, bool) {
+        let a = &self.addr[..self.n];
+        let mut end = i + 1;
+        if end < a.len() && a[end] == a[i] {
+            while end < a.len() && a[end] == a[i] {
+                end += 1;
+            }
+            return (end, true);
+        }
+        while end < a.len() && a[end] == a[end - 1].wrapping_add(width as u64) {
+            end += 1;
+        }
+        (end, false)
     }
 }
 
@@ -475,6 +516,112 @@ mod tests {
             w.with_mask(0, |w| w.alu(5));
         });
         assert_eq!(k.dyn_instrs(), 0);
+    }
+
+    /// Runs `f` and returns its panic message.
+    fn trap(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("access must trap");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+        }
+    }
+
+    /// A tagged address under a strict MMU traps at the first faulting
+    /// lane whether it sits in a uniform run, a contiguous run or a
+    /// scattered op, for loads and stores alike; with the tag bits
+    /// ignored, the same lanes read through the tag.
+    #[test]
+    fn strict_mmu_traps_at_first_tagged_lane_in_any_run() {
+        use gvf_mem::MmuMode;
+        let mut m = mem();
+        let base = m.reserve(4096, 4096);
+        for i in 0..512 {
+            m.write_u64(base.offset(i * 8), 1000 + i).unwrap();
+        }
+        let at = |i: u64| base.offset(i * 8);
+        let cases: [(&str, Lanes<VirtAddr>, usize); 5] = [
+            // Lanes 0..13 share one address; lane 13 tags it.
+            (
+                "uniform",
+                lanes_from_fn(|l| Some(if l == 13 { at(3).with_tag(5) } else { at(3) })),
+                13,
+            ),
+            // A whole uniform run of tagged lanes from lane 8.
+            (
+                "tagged uniform run",
+                lanes_from_fn(|l| Some(if l < 8 { at(3) } else { at(9).with_tag(2) })),
+                8,
+            ),
+            // One contiguous run; lane 20 tags its own slot.
+            (
+                "contiguous",
+                lanes_from_fn(|l| {
+                    let a = at(l as u64);
+                    Some(if l == 20 { a.with_tag(5) } else { a })
+                }),
+                20,
+            ),
+            // A tagged contiguous run from lane 4.
+            (
+                "tagged contiguous run",
+                lanes_from_fn(|l| {
+                    let a = at(l as u64);
+                    Some(if l >= 4 { a.with_tag(7) } else { a })
+                }),
+                4,
+            ),
+            // Scattered lanes; lanes 9 and 30 tagged.
+            (
+                "scattered",
+                lanes_from_fn(|l| {
+                    let a = at((l as u64 * 37) % 512);
+                    Some(if l == 9 || l == 30 { a.with_tag(1) } else { a })
+                }),
+                9,
+            ),
+        ];
+        for (name, addrs, lane) in &cases {
+            let got = trap(|| {
+                run_kernel(&mut m, 32, |w| {
+                    w.ld(AccessTag::Field, 8, addrs);
+                });
+            });
+            assert!(
+                got.starts_with(&format!("device trap on load at lane {lane}:")),
+                "{name}: {got}"
+            );
+            let got = trap(|| {
+                run_kernel(&mut m, 32, |w| {
+                    w.st(AccessTag::Field, 8, addrs, &lanes_from_fn(|_| Some(0)));
+                });
+            });
+            assert!(
+                got.starts_with(&format!("device trap on store at lane {lane}:")),
+                "{name}: {got}"
+            );
+            // With the first faulting lane masked off, the next one traps.
+            if *name == "scattered" {
+                let got = trap(|| {
+                    run_kernel(&mut m, 32, |w| {
+                        w.with_mask(!(1 << 9), |w| {
+                            w.ld(AccessTag::Field, 8, addrs);
+                        });
+                    });
+                });
+                assert!(got.starts_with("device trap on load at lane 30:"), "{got}");
+            }
+        }
+        m.mmu_mut().set_mode(MmuMode::IgnoreTagBits);
+        for (name, addrs, _) in &cases {
+            let mut got = lanes_none();
+            run_kernel(&mut m, 32, |w| got = w.ld(AccessTag::Field, 8, addrs));
+            for l in 0..WARP_SIZE {
+                let a = addrs[l].unwrap().strip_tag();
+                assert_eq!(got[l], Some(m.read_u64(a).unwrap()), "{name} lane {l}");
+            }
+        }
     }
 
     #[test]

@@ -90,6 +90,21 @@ pub enum InstrClass {
     Ctrl,
 }
 
+impl InstrClass {
+    /// All classes, in [`index`](Self::index) order.
+    pub(crate) const ALL: [InstrClass; 3] =
+        [InstrClass::Mem, InstrClass::Compute, InstrClass::Ctrl];
+
+    /// Compact index for counter arrays.
+    pub(crate) const fn index(self) -> usize {
+        match self {
+            InstrClass::Mem => 0,
+            InstrClass::Compute => 1,
+            InstrClass::Ctrl => 2,
+        }
+    }
+}
+
 /// Dense lane addresses of a [`MemOp`].
 ///
 /// Hand-built ops own their address list; ops recorded by the
@@ -125,9 +140,12 @@ impl From<Box<[u64]>> for LaneAddrs {
 
 /// A memory operation by one warp: up to 32 lane addresses.
 ///
-/// Addresses are stored densely; `mask` says which lanes participate.
-/// Bit `i` of `mask` set means lane `i` issued the `k`-th address in
-/// `addrs`, where `k` is the rank of bit `i` among set bits.
+/// `mask` says which lanes participate. `addrs` holds their addresses
+/// in lane order, either one per set mask bit (hand-built ops) or, as
+/// the functional pass records them, with consecutive repeats dropped:
+/// `1 <= addrs.len() <= mask.count_ones()`. Timing reads only the set
+/// of touched sectors, which a consecutive repeat cannot change, and
+/// the lane count comes from the mask.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemOp {
     /// Memory space.
@@ -138,7 +156,7 @@ pub struct MemOp {
     pub width: u8,
     /// Active-lane mask.
     pub mask: u32,
-    /// Canonical per-lane byte addresses (dense, one per set mask bit).
+    /// Canonical lane byte addresses in lane order (see above).
     pub addrs: LaneAddrs,
     /// Attribution tag.
     pub tag: AccessTag,
@@ -225,6 +243,13 @@ mod tests {
     fn dyn_counts() {
         assert_eq!(Op::Alu(5).dyn_count(), 5);
         assert_eq!(Op::Ret.dyn_count(), 1);
+    }
+
+    #[test]
+    fn class_indices_match_all() {
+        for (i, c) in InstrClass::ALL.iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
     }
 
     #[test]

@@ -10,6 +10,9 @@ pub struct WarpTrace {
     /// instead of one boxed slice per memory op, so recording a trace
     /// allocates O(log n) times instead of O(ops).
     lane_arena: Vec<u64>,
+    /// Dynamic instructions per [`InstrClass`], counted as ops are
+    /// recorded (indexed by [`InstrClass::index`]).
+    class_instrs: [u64; InstrClass::ALL.len()],
     vfunc_calls: u64,
 }
 
@@ -21,6 +24,7 @@ impl WarpTrace {
 
     /// Appends an op, fusing consecutive ALU runs.
     pub fn push(&mut self, op: Op) {
+        self.class_instrs[op.class().index()] += op.dyn_count();
         if let (Some(Op::Alu(prev)), Op::Alu(n)) = (self.ops.last_mut(), &op) {
             if let Some(sum) = prev.checked_add(*n) {
                 *prev = sum;
@@ -30,10 +34,13 @@ impl WarpTrace {
         self.ops.push(op);
     }
 
-    /// Appends a memory op whose dense lane addresses come from
-    /// `lane_addrs` (in mask-bit order), interning them straight into
-    /// the warp's lane arena — the allocation-free path the functional
-    /// pass records through.
+    /// Appends a memory op whose lane addresses come from `lane_addrs`
+    /// (one per mask bit, in mask-bit order), interning them straight
+    /// into the warp's lane arena — the allocation-free path the
+    /// functional pass records through. Consecutive repeats are interned
+    /// once: the coalescer skips an adjacent repeat before it can affect
+    /// anything, so the op's sectors are unchanged, and a warp-uniform
+    /// load costs one arena slot instead of 32.
     pub fn push_mem(
         &mut self,
         space: Space,
@@ -44,9 +51,19 @@ impl WarpTrace {
         lane_addrs: impl IntoIterator<Item = u64>,
     ) {
         let start = self.lane_arena.len() as u32;
-        self.lane_arena.extend(lane_addrs);
+        let mut last = None;
+        for a in lane_addrs {
+            if last != Some(a) {
+                self.lane_arena.push(a);
+                last = Some(a);
+            }
+        }
         let len = self.lane_arena.len() as u32 - start;
-        debug_assert_eq!(len, mask.count_ones(), "one dense address per mask bit");
+        debug_assert!(
+            (1..=mask.count_ones()).contains(&len),
+            "1..=popcount(mask) addresses per op"
+        );
+        self.class_instrs[InstrClass::Mem.index()] += 1;
         self.ops.push(Op::Mem(MemOp {
             space,
             is_store,
@@ -86,16 +103,12 @@ impl WarpTrace {
 
     /// Total dynamic instructions (ALU runs expanded).
     pub fn dyn_instrs(&self) -> u64 {
-        self.ops.iter().map(Op::dyn_count).sum()
+        self.class_instrs.iter().sum()
     }
 
     /// Dynamic instructions of one class.
     pub fn dyn_instrs_of(&self, class: InstrClass) -> u64 {
-        self.ops
-            .iter()
-            .filter(|o| o.class() == class)
-            .map(Op::dyn_count)
-            .sum()
+        self.class_instrs[class.index()]
     }
 
     /// `true` when no ops were recorded.
@@ -185,6 +198,22 @@ mod tests {
         assert!(matches!(a.addrs, LaneAddrs::Interned { start: 0, len: 2 }));
         assert_eq!(t.lanes(a), &[128, 256]);
         assert_eq!(t.lanes(b), &[512]);
+        // Consecutive repeats are interned once; the mask keeps the
+        // lane count.
+        t.push_mem(
+            Space::Global,
+            false,
+            8,
+            0b1111,
+            AccessTag::Field,
+            [64, 64, 72, 64],
+        );
+        let Op::Mem(c) = &t.ops()[2] else {
+            panic!("expected a mem op");
+        };
+        assert_eq!(t.lanes(c), &[64, 72, 64]);
+        assert_eq!(c.lane_count(), 4);
+        assert_eq!(t.dyn_instrs_of(InstrClass::Mem), 3);
         // Owned ops resolve through the same accessor.
         let owned = MemOp {
             space: Space::Global,

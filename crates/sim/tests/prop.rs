@@ -502,3 +502,224 @@ fn probe_events_reconstruct_stats() {
         assert_eq!(view, plain, "event stream incomplete");
     });
 }
+
+/// One planned memory op of the functional-path property: its kind,
+/// width, active mask and per-lane raw addresses and store values.
+struct PlannedOp {
+    kind: usize,
+    width: u8,
+    mask: u32,
+    addrs: [Option<u64>; 32],
+    values: [u64; 32],
+}
+
+/// Lane addresses inside `[base, base + 4 pages)`: the warp is cut into
+/// up to four segments, each uniform, contiguous, strided, scattered
+/// (with repeats) or contiguous across a page boundary; some lanes carry
+/// no address, and with `tagged` some segments carry a random tag.
+fn arb_lane_addrs(rng: &mut Rng, base: u64, width: u8, tagged: bool) -> [Option<u64>; 32] {
+    use gvf_mem::{VirtAddr, MAX_TAG, PAGE_SIZE};
+    let w = width as u64;
+    let mut addrs = [None; 32];
+    let mut lane = 0;
+    while lane < 32 {
+        let end = (lane + rng.range_usize(1, 33)).min(32);
+        let tag = if tagged && rng.bool(0.5) {
+            rng.range_u64(1, MAX_TAG as u64 + 1) as u16
+        } else {
+            0
+        };
+        let start = base + rng.range_u64(0, 4 * PAGE_SIZE - 32 * 64 - 8);
+        let kind = rng.range_usize(0, 5);
+        let stride = w * rng.range_u64(2, 9);
+        // Starts at most one segment's worth of values before a page
+        // boundary, so the segment's contiguous run crosses it.
+        let page = base + PAGE_SIZE * rng.range_u64(1, 4);
+        let straddle = page - w * rng.range_u64(1, (end - lane) as u64 + 1) - rng.range_u64(0, w);
+        for (k, slot) in addrs[lane..end].iter_mut().enumerate() {
+            let k = k as u64;
+            let a = match kind {
+                0 => start,
+                1 => start + k * w,
+                2 => start + k * stride,
+                3 => base + rng.range_u64(0, 4 * PAGE_SIZE - 8),
+                _ => straddle + k * w,
+            };
+            *slot = Some(VirtAddr::new(a).with_tag(tag).raw());
+        }
+        // Scattered repeats copy the previous lane's address.
+        if kind == 3 {
+            for l in lane + 1..end {
+                if rng.bool(0.3) {
+                    addrs[l] = addrs[l - 1];
+                }
+            }
+        }
+        lane = end;
+    }
+    for slot in addrs.iter_mut() {
+        if rng.bool(0.15) {
+            *slot = None;
+        }
+    }
+    addrs
+}
+
+/// Functional memory path: for any lane pattern (uniform, contiguous,
+/// strided, scattered, page-straddling; partial masks, lanes without an
+/// address, widths 1/2/4/8, repeated store addresses with different
+/// values), `ld`/`st` match per-lane `read_bytes`/`write_bytes` applied
+/// in lane order, and the recorded trace — consecutive repeat addresses
+/// interned once — times exactly like the same ops hand-built with one
+/// address per lane, under fast-forward and plain ticking alike.
+#[test]
+fn functional_runs_match_per_lane_reference() {
+    use gvf_mem::{MmuMode, VirtAddr, PAGE_SIZE};
+    use gvf_sim::{Lanes, WARP_SIZE};
+    props!(48, |rng| {
+        let tagged = rng.bool(0.25);
+        let mode = if tagged {
+            MmuMode::IgnoreTagBits
+        } else {
+            MmuMode::Strict
+        };
+        let mut mem = DeviceMemory::with_capacity(1 << 20);
+        let mut reference = DeviceMemory::with_capacity(1 << 20);
+        let base = mem.reserve(4 * PAGE_SIZE, PAGE_SIZE);
+        assert_eq!(reference.reserve(4 * PAGE_SIZE, PAGE_SIZE), base);
+        let fill: Vec<u8> = (0..4 * PAGE_SIZE).map(|_| rng.next_u64() as u8).collect();
+        for m in [&mut mem, &mut reference] {
+            m.write_bytes(base, &fill).unwrap();
+            m.mmu_mut().set_mode(mode);
+        }
+        let n_warps = rng.range_usize(1, 4);
+        let plan: Vec<Vec<PlannedOp>> = (0..n_warps)
+            .map(|_| {
+                (0..rng.range_usize(2, 7))
+                    .map(|_| {
+                        let width = *rng.pick(&[1u8, 2, 4, 8]);
+                        PlannedOp {
+                            kind: rng.range_usize(0, 3),
+                            width,
+                            mask: if rng.bool(0.5) {
+                                u32::MAX
+                            } else {
+                                rng.next_u32()
+                            },
+                            addrs: arb_lane_addrs(rng, base.raw(), width, tagged),
+                            values: std::array::from_fn(|_| rng.next_u64()),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let lanes = |op: &PlannedOp| -> Lanes<VirtAddr> {
+            std::array::from_fn(|l| op.addrs[l].map(VirtAddr::new))
+        };
+
+        let mut loaded: Vec<Lanes<u64>> = Vec::new();
+        let recorded = run_kernel(&mut mem, n_warps * WARP_SIZE, |w| {
+            for op in &plan[w.warp_id()] {
+                let addrs = lanes(op);
+                w.with_mask(op.mask, |w| match op.kind {
+                    0 => {
+                        let vals = std::array::from_fn(|l| Some(op.values[l]));
+                        w.st(AccessTag::Field, op.width, &addrs, &vals);
+                    }
+                    1 => loaded.push(w.ld(AccessTag::Field, op.width, &addrs)),
+                    _ => loaded.push(w.ldc(AccessTag::VfuncPtr, op.width, &addrs)),
+                });
+                w.alu(1);
+            }
+        });
+
+        // Per-lane reference, in warp, op and lane order.
+        let mut expect: Vec<Lanes<u64>> = Vec::new();
+        let mut hand = KernelTrace::new();
+        for ops in &plan {
+            let mut t = WarpTrace::new();
+            for op in ops {
+                let w = op.width as usize;
+                let active: Vec<usize> = (0..WARP_SIZE)
+                    .filter(|&l| (op.mask >> l) & 1 == 1 && op.addrs[l].is_some())
+                    .collect();
+                let at = |l: usize| VirtAddr::new(op.addrs[l].unwrap());
+                if op.kind == 0 {
+                    for &l in &active {
+                        reference
+                            .write_bytes(at(l), &op.values[l].to_le_bytes()[..w])
+                            .unwrap();
+                    }
+                } else if op.mask != 0 {
+                    let mut got = [None; WARP_SIZE];
+                    for &l in &active {
+                        let mut buf = [0u8; 8];
+                        reference.read_bytes(at(l), &mut buf[..w]).unwrap();
+                        got[l] = Some(u64::from_le_bytes(buf));
+                    }
+                    expect.push(got);
+                }
+                if !active.is_empty() {
+                    t.push(Op::Mem(MemOp {
+                        space: if op.kind == 2 {
+                            Space::Const
+                        } else {
+                            Space::Global
+                        },
+                        is_store: op.kind == 0,
+                        width: op.width,
+                        mask: active.iter().fold(0, |m, &l| m | 1 << l),
+                        addrs: active
+                            .iter()
+                            .map(|&l| at(l).canonical())
+                            .collect::<Vec<_>>()
+                            .into(),
+                        tag: match op.kind {
+                            2 => AccessTag::VfuncPtr,
+                            _ => AccessTag::Field,
+                        },
+                    }));
+                }
+                if op.mask != 0 {
+                    t.push(Op::Alu(1));
+                }
+            }
+            hand.warps.push(t);
+        }
+        assert_eq!(loaded, expect, "loaded values");
+        let mut got = vec![0u8; fill.len()];
+        let mut want = vec![0u8; fill.len()];
+        mem.read_bytes(base, &mut got).unwrap();
+        reference.read_bytes(base, &mut want).unwrap();
+        assert!(got == want, "memory after stores");
+
+        // The recorded addresses are the hand-built ones minus
+        // consecutive repeats; everything else about each op is equal.
+        for (r, h) in recorded.warps.iter().zip(&hand.warps) {
+            assert_eq!(r.ops().len(), h.ops().len());
+            assert_eq!(r.dyn_instrs(), h.dyn_instrs());
+            for (ro, ho) in r.ops().iter().zip(h.ops()) {
+                match (ro, ho) {
+                    (Op::Mem(rm), Op::Mem(hm)) => {
+                        let mut deduped = h.lanes(hm).to_vec();
+                        deduped.dedup();
+                        assert_eq!(r.lanes(rm), &deduped[..]);
+                        assert_eq!(
+                            (rm.space, rm.is_store, rm.width, rm.mask, rm.tag),
+                            (hm.space, hm.is_store, hm.width, hm.mask, hm.tag)
+                        );
+                    }
+                    _ => assert_eq!(ro, ho),
+                }
+            }
+        }
+        for ff in [true, false] {
+            let gpu = Gpu::new(GpuConfig::small()).with_fast_forward(ff);
+            assert_eq!(
+                gpu.execute(&recorded),
+                gpu.execute(&hand),
+                "fast-forward {ff}: recorded trace times differently"
+            );
+        }
+    });
+}
