@@ -21,9 +21,10 @@
 //!   (`cells[0].stats.l1_hits: 5551 -> 999999`), the first
 //!   [`DET_DIFF_SHOWN`] of them plus a count of the rest, and exits 1.
 //!   CI runs it on every serial-vs-parallel artifact pair.
-//! - `validate_json --events-reconcile EVENTS MANIFEST` — lifecycle
-//!   reconciliation: the events stream must validate, and its cell
-//!   outcomes must match the run manifest one-to-one (every cell
+//! - `validate_json --events-reconcile EVENTS MANIFEST` — the run-health
+//!   gate: the events stream must validate, close with `runEnd` `"ok"`
+//!   for a green manifest or `"failed"` for a failure manifest, and its
+//!   cell outcomes must match the run manifest one-to-one (every cell
 //!   exactly once; failed index sets equal; cache-hit counts agreeing
 //!   with `hostPerf.cellCache`).
 //! - `validate_json --list-schemas` — prints every schema id + version
@@ -309,8 +310,9 @@ fn check_events(text: &str) -> Result<events::StreamSummary, String> {
     events::validate_stream(&stream)
 }
 
-/// `--events-reconcile EVENTS MANIFEST`: the stream validates and its
-/// cell outcomes match the manifest one-to-one.
+/// `--events-reconcile EVENTS MANIFEST`: the stream validates, its
+/// `runEnd` status fits the manifest, and its cell outcomes match the
+/// manifest one-to-one.
 fn events_reconcile(events_path: &str, manifest_path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(events_path)
         .map_err(|e| format!("{events_path}: unreadable: {e}"))?;

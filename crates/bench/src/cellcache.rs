@@ -23,10 +23,13 @@
 //! interrupted sweep resumes by re-running the same command.
 //!
 //! Cells that record timeline or metrics streams (the first cell under
-//! `--trace-out` / `--metrics-out`) bypass the cache: a re-run must
-//! produce those streams fresh. Attribution and cycle-audit reports are
-//! bounded, deterministic counters, so they travel *through* the cache
-//! (and are keyed, since they change what a [`RunResult`] carries).
+//! `--trace-out` / `--metrics-out`) skip the cache *read*: a re-run must
+//! produce those streams fresh. They still *write* their result, which
+//! the key and the entry share with the unprobed cell (neither carries
+//! the streams), so a later grid reads it back. Attribution and
+//! cycle-audit reports are bounded, deterministic counters, so they
+//! travel *through* the cache (and are keyed, since they change what a
+//! [`RunResult`] carries).
 
 use crate::cli::HarnessOpts;
 use crate::json::Json;
@@ -72,8 +75,8 @@ fn opt_u64(v: Option<u64>) -> Json {
 /// The deterministic config rendering hashed into a cell key (and
 /// recorded verbatim in failure entries as the *config fingerprint*).
 /// Every simulation-relevant knob appears; host-side knobs (`--jobs`,
-/// `fast_forward`) and the observability probes that bypass the cache
-/// (timeline, metrics) deliberately do not.
+/// `fast_forward`) and the observability streams that skip the cache
+/// read (timeline, metrics) deliberately do not.
 /// Attribution and the cycle audit *are* keyed: they change what a
 /// [`RunResult`] carries.
 pub fn config_fingerprint_json(cfg: &WorkloadConfig) -> Json {
@@ -765,8 +768,9 @@ impl CellCache {
     /// Produces grid cell `index`'s result: from the cache when a valid
     /// entry of this model exists, otherwise by running `f` (and
     /// persisting its result). Cells whose probe spec records timeline
-    /// or metrics streams bypass the cache (see the module docs); like
-    /// every cell that runs `f`, they count as simulated.
+    /// or metrics streams skip the read but persist their result (see
+    /// the module docs); like every cell that runs `f`, they count as
+    /// simulated.
     pub fn run(
         &self,
         index: usize,
@@ -775,14 +779,19 @@ impl CellCache {
         cfg: &WorkloadConfig,
         f: impl FnOnce() -> RunResult,
     ) -> RunResult {
-        let observed = cfg.probe.timeline_events_per_sm > 0 || cfg.probe.metrics_bucket_cycles > 0;
-        let Some(dir) = self.dir.as_ref().filter(|_| !observed) else {
+        let Some(dir) = self.dir.as_ref() else {
             SIMULATED.fetch_add(1, Ordering::Relaxed);
             return f();
         };
+        let observed = cfg.probe.timeline_events_per_sm > 0 || cfg.probe.metrics_bucket_cycles > 0;
         let key = cell_key(sim, strategy, cfg);
         let path = dir.join(format!("{key}.json"));
-        if let Some(r) = self.try_read(&path, &key) {
+        let cached = if observed {
+            None
+        } else {
+            self.try_read(&path, &key)
+        };
+        if let Some(r) = cached {
             CACHE_HITS.fetch_add(1, Ordering::Relaxed);
             // The pool will report this cell finished; the events
             // stream turns that into a cellCacheHit terminal.
@@ -798,8 +807,8 @@ impl CellCache {
 
 /// This process's cache counters for the manifest's `hostPerf` section:
 /// `cachedCells` came from the cache, `simulatedCells` ran (cache
-/// misses, bypassed cells and cells of a disabled cache alike), and
-/// `entriesWritten` were persisted.
+/// misses, probed cells that skip the read and cells of a disabled
+/// cache alike), and `entriesWritten` were persisted.
 pub fn counters_json() -> Json {
     Json::obj()
         .with(
@@ -1053,23 +1062,36 @@ mod tests {
     fn cache_round_trips_through_disk() {
         let (dir, cache) = temp_cache("roundtrip");
         let cfg = WorkloadConfig::tiny();
-        let mut ran = 0;
-        let mut run = |cfg: &WorkloadConfig| {
+        let ran = std::cell::Cell::new(0);
+        let run = |cfg: &WorkloadConfig| {
             cache.run(0, &gol(), Strategy::Cuda, cfg, || {
-                ran += 1;
+                ran.set(ran.get() + 1);
                 sample_result()
             })
         };
         let r1 = run(&cfg);
         let r2 = run(&cfg);
         results_equal(&r1, &r2);
-        // Probed cells bypass the cache.
+        // Probed cells skip the read: a cached cell re-simulates.
         let mut probed = cfg.clone();
         probed.probe.timeline_events_per_sm = 16;
         run(&probed);
         assert_eq!(
-            ran, 2,
+            ran.get(),
+            2,
             "second run came from the cache; observed cell re-simulated"
+        );
+        // ... but write their result, which an unprobed run reads back.
+        let mut fresh = cfg.clone();
+        fresh.seed += 1;
+        let mut fresh_probed = fresh.clone();
+        fresh_probed.probe.metrics_bucket_cycles = 64;
+        run(&fresh_probed);
+        run(&fresh);
+        assert_eq!(
+            ran.get(),
+            3,
+            "the observed cell's entry served the unprobed run"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

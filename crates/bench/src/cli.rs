@@ -54,14 +54,10 @@ pub struct HarnessOpts {
     /// there are read back instead of re-simulated, so re-running an
     /// interrupted command resumes it (see [`crate::cellcache`]).
     pub cache_dir: Option<String>,
-    /// Write the live `gvf.events` v2 JSONL telemetry stream here
+    /// Write the live `gvf.events` v3 JSONL telemetry stream here
     /// (`--events-out`). Wall-clock data, excluded from the determinism
     /// view; see [`crate::events`].
     pub events_out: Option<String>,
-    /// Stall-watchdog threshold multiple (`--stall-factor`, default
-    /// 8.0): an in-flight cell is flagged once it exceeds this multiple
-    /// of the rolling upper-quartile non-cached cell time.
-    pub stall_factor: f64,
     /// Panic injection for telemetry/fault-isolation testing
     /// (`--fail-cell N`): grid cell `N` panics instead of simulating.
     /// The failure takes the real per-cell isolation path, so CI can
@@ -95,7 +91,6 @@ impl HarnessOpts {
         let mut no_cache = false;
         let mut cache_dir = None;
         let mut events_out = None;
-        let mut stall_factor = crate::events::DEFAULT_STALL_FACTOR;
         let mut fail_cell = None;
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
@@ -178,15 +173,6 @@ impl HarnessOpts {
                     events_out = Some(need(i).clone());
                     i += 2;
                 }
-                "--stall-factor" => {
-                    stall_factor = need(i)
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--stall-factor takes a number"));
-                    if stall_factor <= 1.0 {
-                        usage_error("--stall-factor must be > 1");
-                    }
-                    i += 2;
-                }
                 "--fail-cell" => {
                     fail_cell = Some(int(i, "--fail-cell"));
                     i += 2;
@@ -198,7 +184,7 @@ impl HarnessOpts {
                          --json-out PATH  --trace-out PATH  --metrics-out PATH  \
                          --attrib-out PATH  --profile-out PATH  --audit-out PATH  \
                          --no-cache  --cache-dir DIR  --events-out PATH  \
-                         --stall-factor X (default 8)  --fail-cell N (panic injection)"
+                         --fail-cell N (panic injection)"
                     );
                     std::process::exit(0);
                 }
@@ -230,7 +216,6 @@ impl HarnessOpts {
                     fingerprint: crate::cellcache::config_fingerprint(&cfg),
                     jobs,
                     smoke,
-                    stall_factor,
                 },
             );
         }
@@ -248,7 +233,6 @@ impl HarnessOpts {
             no_cache,
             cache_dir,
             events_out,
-            stall_factor,
             fail_cell,
         }
     }

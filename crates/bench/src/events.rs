@@ -1,4 +1,4 @@
-//! Live run telemetry: the `gvf.events` v2 structured event stream,
+//! Live run telemetry: the `gvf.events` v3 structured event stream,
 //! flight recorder and stall watchdog.
 //!
 //! Every other observability layer in this repo (probes, `hostPerf`,
@@ -14,13 +14,9 @@
 //!   per-cell lifecycle (`cellScheduled`/`cellStarted` and exactly one
 //!   terminal `cellFinished`/`cellCacheHit`/`cellFailed` per started
 //!   cell, each carrying worker id, queue wait and duration);
-//! - periodic `resource` samples (RSS + CPU from `/proc`) and `stall`
-//!   diagnostics from a watchdog thread that flags any in-flight cell
-//!   exceeding `--stall-factor` × the rolling upper-quartile
-//!   non-cached cell time ([`stall_baseline_ms`]),
-//!   attaching every thread's current span stack
-//!   ([`gvf_sim::spans::live_stacks`]) and the engine's global progress
-//!   counters ([`gvf_sim::progress`]);
+//! - `stall` diagnostics from a watchdog thread that flags any
+//!   in-flight cell exceeding [`DEFAULT_STALL_FACTOR`] × the rolling
+//!   upper-quartile non-cached cell time ([`stall_baseline_ms`]);
 //! - a bounded in-memory ring of the last [`FLIGHT_RECORDER_EVENTS`]
 //!   events that doubles as a **flight recorder**: when a cell panics,
 //!   the ring is snapshotted and embedded in the failure manifest's
@@ -33,7 +29,11 @@
 //! cells complete in microseconds, so folding them into the rate would
 //! make the ETA of a sweep served partly from the cache wildly
 //! optimistic — [`eta_seconds`] extrapolates from **non-cached**
-//! completions only.
+//! completions only. The written stream has two readers: `report`'s
+//! Run timeline, and `validate_json`, whose `--events-reconcile`
+//! ([`reconcile`]) is the run-health gate — a run finished cleanly
+//! when its stream closes with the `runEnd` status its manifest calls
+//! for.
 //!
 //! Like `hostPerf`, everything here is host-side wall-clock data: it
 //! never touches stdout, never feeds back into simulated timing, and
@@ -57,7 +57,7 @@ pub const EVENTS_SCHEMA_VERSION: u32 = crate::schemas::EVENTS.version;
 /// dead cell's failure-manifest entry.
 pub const FLIGHT_RECORDER_EVENTS: usize = 32;
 
-/// Default `--stall-factor`: an in-flight cell is flagged once it
+/// The stall watchdog's threshold: an in-flight cell is flagged once it
 /// exceeds this multiple of the rolling upper-quartile non-cached cell
 /// time ([`stall_baseline_ms`]).
 pub const DEFAULT_STALL_FACTOR: f64 = 8.0;
@@ -67,8 +67,6 @@ pub const DEFAULT_STALL_FACTOR: f64 = 8.0;
 const HEARTBEAT_MS: u64 = 1000;
 /// Watchdog wake-up period.
 const WATCHDOG_TICK_MS: u64 = 250;
-/// Minimum milliseconds between `resource` samples.
-const RESOURCE_SAMPLE_MS: u64 = 1000;
 /// Completed non-cached cells needed before the stall baseline is
 /// meaningful.
 const STALL_MIN_SAMPLES: usize = 3;
@@ -88,8 +86,6 @@ pub struct RunInfo {
     pub jobs: usize,
     /// Whether `--smoke` shrank the config.
     pub smoke: bool,
-    /// The stall watchdog's threshold multiple.
-    pub stall_factor: f64,
 }
 
 struct SweepState {
@@ -118,24 +114,17 @@ struct SweepState {
 #[derive(Default)]
 struct Inner {
     sink: Option<std::fs::File>,
-    stall_factor: f64,
     ring: VecDeque<Json>,
     /// Flight-recorder snapshots: (sweep label, cell) → last-K events
     /// at the moment the cell's failure was dispatched.
     flight: HashMap<(String, usize), Vec<Json>>,
     active: Option<SweepState>,
     run_ended: bool,
-    last_resource_ms: u64,
 }
 
 fn inner() -> &'static Mutex<Inner> {
     static LOG: OnceLock<Mutex<Inner>> = OnceLock::new();
-    LOG.get_or_init(|| {
-        Mutex::new(Inner {
-            stall_factor: DEFAULT_STALL_FACTOR,
-            ..Inner::default()
-        })
-    })
+    LOG.get_or_init(|| Mutex::new(Inner::default()))
 }
 
 /// Milliseconds since [`gvf_sim::hostperf::process_start`] — every
@@ -186,7 +175,6 @@ pub fn init(path: &str, run: &RunInfo) {
     {
         let mut inner = inner().lock().expect("events mutex");
         inner.sink = Some(file);
-        inner.stall_factor = run.stall_factor;
         let e = run_start_event(run, now_ms());
         dispatch(&mut inner, e, None);
     }
@@ -207,7 +195,6 @@ fn run_start_event(run: &RunInfo, t_ms: u64) -> Json {
         .with("configFingerprint", Json::str(&run.fingerprint))
         .with("jobs", Json::num_u64(run.jobs as u64))
         .with("smoke", Json::Bool(run.smoke))
-        .with("stallFactor", Json::Num(run.stall_factor))
 }
 
 /// Whether a JSONL sink is installed (used by tests and the watchdog).
@@ -397,17 +384,6 @@ pub fn flight_recorder(label: &str, cell: usize) -> Option<Vec<Json>> {
     inner.flight.get(&(label.to_string(), cell)).cloned()
 }
 
-/// The worker id and queue-wait recorded for a failed cell's terminal
-/// event, for the failure manifest (`None` when the cell was not
-/// observed failing).
-pub fn failed_cell_runtime(label: &str, cell: usize) -> Option<(u64, u64)> {
-    let inner = inner().lock().expect("events mutex");
-    let events = inner.flight.get(&(label.to_string(), cell))?;
-    let last = events.last()?;
-    let num = |k: &str| last.get(k).and_then(Json::as_num).map(|n| n as u64);
-    Some((num("worker")?, num("queueWaitMs")?))
-}
-
 /// Whether a progress line should be considered at all: the completion
 /// beat (`done == total`) is always due — the throttle used to swallow
 /// it when the last cell landed inside the window — and intermediate
@@ -441,12 +417,11 @@ pub fn eta_seconds(
     Some(elapsed_s / noncached_done as f64 * total.saturating_sub(done) as f64)
 }
 
-/// The watchdog thread: wakes every [`WATCHDOG_TICK_MS`], samples host
-/// resources on a [`RESOURCE_SAMPLE_MS`] cadence, and flags in-flight
-/// cells exceeding `stall_factor` × the rolling upper-quartile
-/// non-cached cell time (each cell at most once). Runs for the life of the process —
-/// the sink is flushed per line, so dying with the process loses
-/// nothing.
+/// The watchdog thread: wakes every [`WATCHDOG_TICK_MS`] and flags
+/// in-flight cells exceeding [`DEFAULT_STALL_FACTOR`] × the rolling
+/// upper-quartile non-cached cell time (each cell at most once). Runs
+/// for the life of the process — the sink is flushed per line, so dying
+/// with the process loses nothing.
 fn watchdog_loop() {
     loop {
         std::thread::sleep(std::time::Duration::from_millis(WATCHDOG_TICK_MS));
@@ -467,21 +442,6 @@ fn watchdog_tick_at(inner: &mut Inner, t: u64) {
     if inner.run_ended {
         return;
     }
-    // Periodic resource sample: RSS + CPU from /proc.
-    if t.saturating_sub(inner.last_resource_ms) >= RESOURCE_SAMPLE_MS {
-        inner.last_resource_ms = t;
-        let mut e = event("resource", t);
-        match gvf_sim::hostperf::current_rss_bytes() {
-            Some(rss) => e.set("rssBytes", Json::num_u64(rss)),
-            None => e.set("rssBytes", Json::Null),
-        };
-        match cpu_time_ms() {
-            Some(cpu) => e.set("cpuMs", Json::num_u64(cpu)),
-            None => e.set("cpuMs", Json::Null),
-        };
-        dispatch(inner, e, None);
-    }
-    // Stall scan.
     let Some(sweep) = inner.active.as_mut() else {
         return;
     };
@@ -490,10 +450,9 @@ fn watchdog_tick_at(inner: &mut Inner, t: u64) {
     }
     let baseline_ms = stall_baseline_ms(&sweep.durations_ms);
     let threshold_ms =
-        ((inner.stall_factor * baseline_ms as f64) as u64).max(STALL_MIN_THRESHOLD_MS);
+        ((DEFAULT_STALL_FACTOR * baseline_ms as f64) as u64).max(STALL_MIN_THRESHOLD_MS);
     let label = sweep.label.clone();
     let quiet = sweep.quiet;
-    let factor = inner.stall_factor;
     let stuck: Vec<(usize, usize, u64)> = sweep
         .inflight
         .iter()
@@ -506,30 +465,12 @@ fn watchdog_tick_at(inner: &mut Inner, t: u64) {
         sweep.stalled.insert(*cell);
     }
     for (cell, worker, elapsed_ms) in stuck {
-        let stacks: Vec<Json> = gvf_sim::spans::live_stacks()
-            .into_iter()
-            .map(|(thread, path)| {
-                Json::obj()
-                    .with("thread", Json::str(thread))
-                    .with("path", Json::str(path))
-            })
-            .collect();
-        let engine = gvf_sim::progress::snapshot();
         let e = event("stall", t)
             .with("sweep", Json::str(&label))
             .with("cell", Json::num_u64(cell as u64))
             .with("worker", Json::num_u64(worker as u64))
             .with("elapsedMs", Json::num_u64(elapsed_ms))
-            .with("baselineMs", Json::num_u64(baseline_ms))
-            .with("factor", Json::Num(factor))
-            .with(
-                "engine",
-                Json::obj()
-                    .with("epochs", Json::num_u64(engine.epochs))
-                    .with("cycles", Json::num_u64(engine.cycles))
-                    .with("kernels", Json::num_u64(engine.kernels)),
-            )
-            .with("stacks", Json::Arr(stacks));
+            .with("baselineMs", Json::num_u64(baseline_ms));
         let line = (!quiet).then(|| {
             format!(
                 "[{label}] cell {cell} on worker {worker} stalled: {:.1}s vs baseline {:.1}s",
@@ -555,30 +496,9 @@ fn stall_baseline_ms(durations_ms: &[u64]) -> u64 {
     sorted[((sorted.len() * 3) / 4).min(sorted.len() - 1)]
 }
 
-/// Cumulative user+system CPU time of this process in milliseconds,
-/// from `/proc/self/stat` fields 14/15 (`utime`/`stime`, in clock
-/// ticks; `_SC_CLK_TCK` is 100 on every Linux we target).
-fn cpu_time_ms() -> Option<u64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    parse_cpu_ticks(&stat).map(|ticks| ticks * 10)
-}
-
-/// Parses `utime + stime` (clock ticks) out of a `/proc/<pid>/stat`
-/// line; the comm field may contain spaces, so fields are counted from
-/// the closing paren.
-fn parse_cpu_ticks(stat: &str) -> Option<u64> {
-    let rest = &stat[stat.rfind(')')? + 1..];
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    // `rest` starts at field 3 (state), so utime/stime (fields 14/15)
-    // are at offsets 11/12.
-    let utime: u64 = fields.get(11)?.parse().ok()?;
-    let stime: u64 = fields.get(12)?.parse().ok()?;
-    Some(utime + stime)
-}
-
 // ---------------------------------------------------------------------
-// Stream parsing, validation, reconciliation — shared by the `status`
-// binary, `validate_json` and `report`.
+// Stream parsing, validation, reconciliation — shared by
+// `validate_json` and `report`.
 // ---------------------------------------------------------------------
 
 /// Parses a JSONL events stream into one [`Json`] per line. A torn
@@ -647,14 +567,6 @@ pub struct StreamSummary {
     pub sweeps: Vec<SweepSummary>,
     /// `runEnd` status, `None` for a truncated (interrupted) stream.
     pub run_status: Option<String>,
-    /// `resource` samples seen.
-    pub resource_samples: usize,
-    /// Last sampled RSS, if any sample carried one.
-    pub last_rss_bytes: Option<u64>,
-    /// Last sampled cumulative CPU time, if any.
-    pub last_cpu_ms: Option<u64>,
-    /// Timestamp of the last event.
-    pub last_t_ms: u64,
 }
 
 fn field_u64(e: &Json, k: &str) -> Result<u64, String> {
@@ -670,10 +582,11 @@ fn field_str<'j>(e: &'j Json, k: &str) -> Result<&'j str, String> {
         .ok_or_else(|| format!("missing string {k:?}"))
 }
 
-/// Validates a parsed `gvf.events` stream against the v1 lifecycle
+/// Validates a parsed `gvf.events` stream against the lifecycle
 /// invariants and returns its roll-up:
 ///
-/// - the first event is `runStart` with this schema (version ≤ current);
+/// - the first event is `runStart` with this schema and the current
+///   version (no stream of an older version is kept, so none is read);
 /// - every event has a known `ev` and a numeric `tMs`;
 /// - timestamps are non-decreasing **per worker** within a sweep;
 /// - per sweep: `cellScheduled` covers exactly `0..cells`, every
@@ -693,10 +606,10 @@ pub fn validate_stream(events: &[Json]) -> Result<StreamSummary, String> {
             "first event is not a {EVENTS_SCHEMA:?} runStart header"
         ));
     }
-    let version = field_u64(first, "version")? as u32;
-    if version == 0 || version > EVENTS_SCHEMA_VERSION {
+    let version = field_u64(first, "version")?;
+    if version != EVENTS_SCHEMA_VERSION as u64 {
         return Err(format!(
-            "events version {version} (validator knows 1..={EVENTS_SCHEMA_VERSION})"
+            "events version {version} (validator knows v{EVENTS_SCHEMA_VERSION} only)"
         ));
     }
     if field_str(first, "ev")? != "runStart" {
@@ -755,7 +668,6 @@ pub fn validate_stream(events: &[Json]) -> Result<StreamSummary, String> {
         let at = |msg: String| format!("event {}: {msg}", i + 1);
         let ev = field_str(e, "ev").map_err(&at)?;
         let t = field_u64(e, "tMs").map_err(&at)?;
-        summary.last_t_ms = summary.last_t_ms.max(t);
         if ended_run {
             return Err(at(format!("{ev:?} after runEnd")));
         }
@@ -837,15 +749,6 @@ pub fn validate_stream(events: &[Json]) -> Result<StreamSummary, String> {
                     s.summary.stalls += 1;
                 }
             }
-            "resource" => {
-                summary.resource_samples += 1;
-                if let Some(rss) = e.get("rssBytes").and_then(Json::as_num) {
-                    summary.last_rss_bytes = Some(rss as u64);
-                }
-                if let Some(cpu) = e.get("cpuMs").and_then(Json::as_num) {
-                    summary.last_cpu_ms = Some(cpu as u64);
-                }
-            }
             "sweepEnd" => {
                 let s = open.as_mut().ok_or_else(|| at("no open sweep".into()))?;
                 let label = field_str(e, "sweep").map_err(&at)?;
@@ -897,6 +800,9 @@ pub fn validate_stream(events: &[Json]) -> Result<StreamSummary, String> {
 
 /// Reconciles a validated stream against its run manifest:
 ///
+/// - the run finished cleanly: the stream closes with `runEnd`, whose
+///   status is `"ok"` for a green manifest and `"failed"` for a
+///   failure manifest (a missing `runEnd` is an interrupted run);
 /// - a **green** manifest (no failed entries): every sweep in the
 ///   stream must be complete, no cell failed, and the terminal cells
 ///   must cover the manifest's grid — exactly (`== cells`) for a
@@ -922,6 +828,20 @@ pub fn reconcile(summary: &StreamSummary, manifest: &Json) -> Result<(), String>
         .map(|(i, _)| i)
         .collect();
     manifest_failed.sort_unstable();
+    let want = if manifest_failed.is_empty() {
+        "ok"
+    } else {
+        "failed"
+    };
+    match summary.run_status.as_deref() {
+        Some(status) if status == want => {}
+        Some(status) => {
+            return Err(format!(
+                "stream ends with runEnd {status:?}, the manifest calls for {want:?}"
+            ))
+        }
+        None => return Err("stream has no runEnd: the run did not finish".into()),
+    }
     if summary.sweeps.is_empty() {
         return Err("stream has no sweeps to reconcile".into());
     }
@@ -992,72 +912,6 @@ pub fn reconcile(summary: &StreamSummary, manifest: &Json) -> Result<(), String>
     Ok(())
 }
 
-/// Renders a human-readable summary of a stream (the `status --summary`
-/// view): run header, per-sweep cell outcomes and worker occupancy,
-/// last resource sample, final status.
-pub fn render_summary(s: &StreamSummary) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "run: {} (config {}, jobs {})",
-        s.bin, s.fingerprint, s.jobs
-    );
-    for sweep in &s.sweeps {
-        let _ = write!(
-            out,
-            "sweep {}: {} cells — {} simulated, {} cached, {} failed",
-            sweep.label,
-            sweep.total,
-            sweep.finished.len(),
-            sweep.cached.len(),
-            sweep.failed.len(),
-        );
-        match sweep.wall_ms {
-            Some(wall) => {
-                let _ = writeln!(out, ", wall {:.2}s", wall as f64 / 1000.0);
-            }
-            None => {
-                let _ = writeln!(out, ", INTERRUPTED ({} in flight)", sweep.in_flight.len());
-            }
-        }
-        if !sweep.failed.is_empty() {
-            let _ = writeln!(out, "  failed cells: {:?}", sweep.failed);
-        }
-        if sweep.stalls > 0 {
-            let _ = writeln!(out, "  stall warnings: {}", sweep.stalls);
-        }
-        if let Some(wall) = sweep.wall_ms.filter(|w| *w > 0) {
-            let occupancy: Vec<String> = sweep
-                .worker_busy_ms
-                .iter()
-                .map(|(w, busy)| format!("w{w} {:.0}%", (*busy as f64 / wall as f64) * 100.0))
-                .collect();
-            if !occupancy.is_empty() {
-                let _ = writeln!(out, "  worker occupancy: {}", occupancy.join("  "));
-            }
-        }
-    }
-    if let Some(rss) = s.last_rss_bytes {
-        let cpu = s
-            .last_cpu_ms
-            .map(|ms| format!(", cpu {:.1}s", ms as f64 / 1000.0))
-            .unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "resources: rss {:.1} MB{cpu} ({} samples)",
-            rss as f64 / (1024.0 * 1024.0),
-            s.resource_samples
-        );
-    }
-    let _ = writeln!(
-        out,
-        "status: {}",
-        s.run_status.as_deref().unwrap_or("interrupted (no runEnd)")
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1124,14 +978,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_cpu_ticks_past_comm_with_spaces() {
-        let stat = "1234 (fig 6 (odd)) S 1 1 1 0 -1 4194560 500 0 0 0 7 3 0 0 20 0 1 0 100 \
-                    1000000 300 18446744073709551615";
-        assert_eq!(parse_cpu_ticks(stat), Some(10));
-        assert_eq!(parse_cpu_ticks("garbage"), None);
-    }
-
-    #[test]
     fn torn_final_line_is_dropped_but_torn_middle_is_an_error() {
         let good = r#"{"a":1}
 {"b":2}
@@ -1143,12 +989,11 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_emits_nothing_after_run_end() {
+    fn watchdog_flags_stalls_with_the_slim_payload_and_stops_at_run_end() {
         let path =
             std::env::temp_dir().join(format!("gvf-events-run-end-{}.jsonl", std::process::id()));
         let mut inner = Inner {
             sink: Some(std::fs::File::create(&path).expect("create stream")),
-            stall_factor: DEFAULT_STALL_FACTOR,
             ..Inner::default()
         };
         let run = RunInfo {
@@ -1156,13 +1001,29 @@ mod tests {
             fingerprint: "0".into(),
             jobs: 1,
             smoke: true,
-            stall_factor: DEFAULT_STALL_FACTOR,
         };
         dispatch(&mut inner, run_start_event(&run, 0), None);
-        watchdog_tick_at(&mut inner, RESOURCE_SAMPLE_MS);
-        end_run(&mut inner, "ok", RESOURCE_SAMPLE_MS + 10);
-        // A resource sample is overdue here: only `run_ended` stops it.
-        watchdog_tick_at(&mut inner, 2 * RESOURCE_SAMPLE_MS + 10);
+        // Three 10 ms cells done, so the threshold is the 100 ms floor.
+        // Cell 0 has run 200 ms at the first tick; cell 1 only 50 ms.
+        inner.active = Some(SweepState {
+            label: "s".into(),
+            total: 5,
+            quiet: true,
+            start_ms: 0,
+            done: 3,
+            cached: 0,
+            failed: Vec::new(),
+            noncached_done: 3,
+            durations_ms: vec![10, 10, 10],
+            pending_hits: HashMap::new(),
+            inflight: HashMap::from([(0, (0, 0)), (1, (1, 150))]),
+            stalled: HashSet::new(),
+            last_beat_ms: 0,
+        });
+        watchdog_tick_at(&mut inner, 200);
+        end_run(&mut inner, "ok", 210);
+        // Cell 1 is overdue here: only `run_ended` stops its stall.
+        watchdog_tick_at(&mut inner, 1000);
         drop(inner);
         let text = std::fs::read_to_string(&path).expect("read stream");
         std::fs::remove_file(&path).ok();
@@ -1173,15 +1034,35 @@ mod tests {
             .and_then(|e| e.get("ev"))
             .and_then(Json::as_str);
         assert_eq!(last, Some("runEnd"));
-        let samples: Vec<&Json> = stream
+        let stalls: Vec<&Json> = stream
             .iter()
-            .filter(|e| e.get("ev").and_then(Json::as_str) == Some("resource"))
+            .filter(|e| e.get("ev").and_then(Json::as_str) == Some("stall"))
             .collect();
-        assert_eq!(samples.len(), 1, "one sample before runEnd, none after");
-        assert!(samples[0].get("rssBytes").is_some());
-        assert!(
-            samples[0].get("spans").is_none(),
-            "resource samples carry no span deltas"
+        assert_eq!(stalls.len(), 1, "one stall before runEnd, none after");
+        let Json::Obj(fields) = stalls[0] else {
+            panic!("stall event is not an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "ev",
+                "tMs",
+                "sweep",
+                "cell",
+                "worker",
+                "elapsedMs",
+                "baselineMs"
+            ]
+        );
+        assert_eq!(stalls[0].get("cell").and_then(Json::as_num), Some(0.0));
+        assert_eq!(
+            stalls[0].get("elapsedMs").and_then(Json::as_num),
+            Some(200.0)
+        );
+        assert_eq!(
+            stalls[0].get("baselineMs").and_then(Json::as_num),
+            Some(10.0)
         );
     }
 }

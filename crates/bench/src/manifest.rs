@@ -990,7 +990,6 @@ mod tests {
             no_cache: false,
             cache_dir: None,
             events_out: None,
-            stall_factor: crate::events::DEFAULT_STALL_FACTOR,
             fail_cell: None,
         }
     }

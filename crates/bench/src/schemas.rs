@@ -87,9 +87,11 @@ pub const CELLCACHE: Schema = Schema {
     version: 3,
 };
 /// Live JSONL telemetry stream.
+/// v3: no `resource` samples; `stall` carries no stacks or engine
+/// counters; `runStart` carries no `stallFactor`.
 pub const EVENTS: Schema = Schema {
     id: "gvf.events",
-    version: 2,
+    version: 3,
 };
 
 /// Every schema the toolchain understands, in the order

@@ -1,10 +1,11 @@
-//! Property tests for the `gvf.events` v2 telemetry schema: generated
+//! Property tests for the `gvf.events` v3 telemetry schema: generated
 //! well-formed streams must render compactly (one line per event),
 //! survive the render → parse round trip, and pass
 //! [`gvf_bench::events::validate_stream`] with a roll-up matching the
-//! generation plan; corrupted streams (lifecycle violations) must be
-//! rejected; and [`gvf_bench::events::reconcile`] must accept exactly
-//! the manifests whose cell outcomes mirror the stream. Runs on the
+//! generation plan; corrupted streams (lifecycle violations) and
+//! streams of another version must be rejected; and
+//! [`gvf_bench::events::reconcile`] must accept exactly the manifests
+//! whose cell outcomes and run status mirror the stream. Runs on the
 //! in-repo `gvf-prop` harness.
 
 use gvf_bench::events::{
@@ -59,8 +60,7 @@ fn arb_stream(rng: &mut Rng, plan: &Plan) -> Vec<Json> {
         .with("bin", Json::str("figX"))
         .with("configFingerprint", Json::str("cafebabe00000000"))
         .with("jobs", Json::num_u64(plan.jobs as u64))
-        .with("smoke", Json::Bool(true))
-        .with("stallFactor", Json::Num(8.0))];
+        .with("smoke", Json::Bool(true))];
     let n = plan.cells.len();
     let base = |ev: &str, t: u64| {
         Json::obj()
@@ -327,5 +327,66 @@ fn reconcile_accepts_matching_manifests_only() {
             ),
         );
         assert!(reconcile(&summary, &skewed).is_err());
+    });
+}
+
+/// Reconcile is the finished-cleanly check: a green manifest needs a
+/// stream ending `runEnd: ok`, a failure manifest one ending
+/// `runEnd: failed`, and a stream without `runEnd` never finished.
+#[test]
+fn reconcile_requires_the_run_end_its_manifest_calls_for() {
+    props!(96, |rng| {
+        let plan = arb_plan(rng);
+        let green: Vec<Fate> = plan
+            .cells
+            .iter()
+            .map(|&f| {
+                if f == Fate::Failed {
+                    Fate::Simulated
+                } else {
+                    f
+                }
+            })
+            .collect();
+        let mut failing = green.clone();
+        let dead = rng.range_usize(0, failing.len());
+        failing[dead] = Fate::Failed;
+        for (cells, wrong) in [(green, "failed"), (failing, "ok")] {
+            let plan = Plan {
+                cells,
+                jobs: plan.jobs,
+            };
+            let mut stream = arb_stream(rng, &plan);
+            let manifest = manifest_for(&plan);
+            let summary = validate_stream(&stream).expect("stream validates");
+            reconcile(&summary, &manifest).expect("matching run status reconciles");
+
+            let run_end = stream.pop().expect("stream ends with runEnd");
+            let truncated = validate_stream(&stream).expect("a truncated stream validates");
+            let err = reconcile(&truncated, &manifest).unwrap_err();
+            assert!(err.contains("no runEnd"), "{err}");
+
+            stream.push(replace(&run_end, "status", Json::str(wrong)));
+            let mismatched = validate_stream(&stream).expect("stream validates");
+            let err = reconcile(&mismatched, &manifest).unwrap_err();
+            assert!(err.contains(&format!("runEnd {wrong:?}")), "{err}");
+        }
+    });
+}
+
+/// Only the current version validates: no stream of an older version
+/// is kept anywhere, so none is read.
+#[test]
+fn streams_of_another_version_are_refused() {
+    props!(32, |rng| {
+        let plan = arb_plan(rng);
+        let mut stream = arb_stream(rng, &plan);
+        validate_stream(&stream).expect("current version validates");
+        let current = EVENTS_SCHEMA_VERSION as u64;
+        for version in [0, 1, 2, current + 1] {
+            stream[0] = replace(&stream[0], "version", Json::num_u64(version));
+            let err = validate_stream(&stream).unwrap_err();
+            assert!(err.contains(&format!("events version {version}")), "{err}");
+        }
     });
 }

@@ -33,7 +33,6 @@ fn opts(cache_dir: &std::path::Path, fail_cell: Option<usize>) -> HarnessOpts {
         no_cache: false,
         cache_dir: Some(cache_dir.to_string_lossy().into_owned()),
         events_out: None, // the sink is installed via events::init below
-        stall_factor: events::DEFAULT_STALL_FACTOR,
         fail_cell,
     }
 }
@@ -53,7 +52,6 @@ fn sweep_telemetry_reconciles_with_what_happened() {
             fingerprint: "0123456789abcdef".into(),
             jobs: 3,
             smoke: true,
-            stall_factor: events::DEFAULT_STALL_FACTOR,
         },
     );
     assert!(events::sink_installed());

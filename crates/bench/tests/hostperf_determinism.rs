@@ -28,7 +28,6 @@ fn opts() -> HarnessOpts {
         no_cache: false,
         cache_dir: None,
         events_out: None,
-        stall_factor: gvf_bench::events::DEFAULT_STALL_FACTOR,
         fail_cell: None,
     }
 }

@@ -424,9 +424,7 @@ impl Gpu {
         let mut memstats = Stats::new();
         let mut cycle: u64 = 0;
         let ff = self.fast_forward;
-        let mut liveness = crate::progress::EpochBatcher::new();
         loop {
-            liveness.tick();
             let mut live = false;
             let mut issued = false;
             let mut min_next = u64::MAX;
@@ -1111,7 +1109,6 @@ fn finish<P: Probe>(
     stats.l2_hits = memsys.l2.hits();
     let last = sms.iter().map(|s| s.max_retire).max().unwrap_or(cycle);
     stats.cycles = last.max(cycle);
-    crate::progress::kernel_finished(stats.cycles);
     stats
 }
 

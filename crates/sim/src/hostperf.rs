@@ -170,38 +170,25 @@ pub fn record_sweep(sweep: SweepTelemetry, started_ns_ago: u64) {
 /// Peak resident set size of this process in bytes, from
 /// `/proc/self/status` (`VmHWM`, recorded by the kernel in kilobytes).
 pub fn peak_rss_bytes() -> Option<u64> {
-    status_bytes("VmHWM:")
-}
-
-/// Current resident set size of this process in bytes (`VmRSS` from
-/// `/proc/self/status`): what the live resource sampler reports, where
-/// [`peak_rss_bytes`] is the high-water mark.
-pub fn current_rss_bytes() -> Option<u64> {
-    status_bytes("VmRSS:")
-}
-
-/// Reads the kilobyte line `key` of `/proc/self/status`, in bytes.
-fn status_bytes(key: &str) -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
         let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        parse_status_kb(&status, key)
+        parse_vm_hwm(&status)
     }
     #[cfg(not(target_os = "linux"))]
     {
-        let _ = key;
         None
     }
 }
 
-/// Parses the `key` line (`"VmHWM:"`, `"VmRSS:"`, …) of a
-/// `/proc/<pid>/status` document, whose value is in kilobytes, into
-/// bytes.
+/// Parses the `VmHWM:` line of a `/proc/<pid>/status` document, whose
+/// value is in kilobytes, into bytes.
 #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
-fn parse_status_kb(status: &str, key: &str) -> Option<u64> {
-    let line = status.lines().find(|l| l.starts_with(key))?;
+fn parse_vm_hwm(status: &str) -> Option<u64> {
+    const KEY: &str = "VmHWM:";
+    let line = status.lines().find(|l| l.starts_with(KEY))?;
     let kb: u64 = line
-        .trim_start_matches(key)
+        .trim_start_matches(KEY)
         .trim()
         .trim_end_matches("kB")
         .trim()
@@ -267,15 +254,8 @@ mod tests {
     #[test]
     fn parses_vm_hwm_line() {
         let status = "Name:\tfig6\nVmPeak:\t  999 kB\nVmHWM:\t  1234 kB\nThreads:\t1\n";
-        assert_eq!(parse_status_kb(status, "VmHWM:"), Some(1234 * 1024));
-        assert_eq!(parse_status_kb("Name:\tx\n", "VmHWM:"), None);
-    }
-
-    #[test]
-    fn parses_vm_rss_line() {
-        let status = "Name:\tfig6\nVmRSS:\t  2048 kB\nThreads:\t1\n";
-        assert_eq!(parse_status_kb(status, "VmRSS:"), Some(2048 * 1024));
-        assert_eq!(parse_status_kb("Name:\tx\n", "VmRSS:"), None);
+        assert_eq!(parse_vm_hwm(status), Some(1234 * 1024));
+        assert_eq!(parse_vm_hwm("Name:\tx\n"), None);
     }
 
     #[cfg(target_os = "linux")]

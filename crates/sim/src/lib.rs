@@ -51,7 +51,6 @@ pub mod hostperf;
 mod instr;
 mod pool;
 pub mod probe;
-pub mod progress;
 pub mod simt;
 pub mod spans;
 mod stats;

@@ -309,9 +309,8 @@ where
                 let cursor = &cursor;
                 let finished = &finished;
                 let f = &f;
-                // Named threads so live span stacks (the stall
-                // watchdog's diagnostics) can say which pool worker is
-                // stuck.
+                // Named threads, so a panic message or a debugger says
+                // which pool worker it is.
                 std::thread::Builder::new()
                     .name(format!("pool-worker-{w}"))
                     .spawn_scoped(scope, move || {

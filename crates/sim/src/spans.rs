@@ -15,8 +15,7 @@
 //! granularity only (`pool.cell`, `kernel.functional`, `kernel.timing`,
 //! `kernel.absorb`) — a few per cell, never per epoch or per simulated
 //! event. Each span costs two
-//! `Instant` reads, a hash-map bump on a thread-local table and a copy
-//! of the open path into the thread's [`live_stacks`] slot; the
+//! `Instant` reads and a hash-map bump on a thread-local table; the
 //! collapsed path is maintained incrementally, so steady-state spans
 //! allocate nothing. Costs below kernel level are the benchmark's
 //! per-layer ledger.
@@ -34,53 +33,12 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Separator between frames of a collapsed path (the flamegraph
 /// convention).
 pub const PATH_SEPARATOR: char = ';';
-
-/// One thread's published live state: a stable label plus the currently
-/// open collapsed path (kept allocation-free in steady state — the
-/// buffer's capacity is reused on every update).
-#[derive(Debug)]
-struct LiveSlot {
-    label: String,
-    path: Mutex<String>,
-}
-
-type LiveRegistry = Mutex<Vec<(u64, Arc<LiveSlot>)>>;
-
-fn live_registry() -> &'static LiveRegistry {
-    static REGISTRY: OnceLock<LiveRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// The current open span path of every live thread that has opened a
-/// span, as `(thread label, collapsed path)` pairs sorted by label;
-/// threads with no open span are omitted. This is the stall watchdog's
-/// view into what a stuck worker is doing right now (a stuck thread
-/// cannot flush or report on itself). Labels are thread names
-/// (`pool-worker-N`, …) or `thread-<seq>` for unnamed threads.
-pub fn live_stacks() -> Vec<(String, String)> {
-    let registry = live_registry().lock().expect("live stack registry");
-    let mut out: Vec<(String, String)> = registry
-        .iter()
-        .filter_map(|(_, slot)| {
-            let path = slot.path.lock().expect("live stack slot").clone();
-            if path.is_empty() {
-                None
-            } else {
-                Some((slot.label.clone(), path))
-            }
-        })
-        .collect();
-    drop(registry);
-    out.sort();
-    out
-}
 
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Totals {
@@ -112,10 +70,6 @@ struct ThreadSpans {
     /// close, and the start instant.
     marks: Vec<(usize, Instant)>,
     totals: HashMap<String, Totals>,
-    /// This thread's slot in the live-stack registry, registered lazily
-    /// on the first span opened; the id keys the registry entry for
-    /// removal on thread exit.
-    live: Option<(u64, Arc<LiveSlot>)>,
 }
 
 impl ThreadSpans {
@@ -124,35 +78,6 @@ impl ThreadSpans {
             path: String::new(),
             marks: Vec::new(),
             totals: HashMap::new(),
-            live: None,
-        }
-    }
-
-    /// Mirrors the current open path into this thread's registry slot
-    /// (registering on first use). Steady-state cost: one uncontended
-    /// lock plus a copy into a reused buffer.
-    fn publish_live(&mut self) {
-        if self.live.is_none() {
-            static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-            let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-            let label = std::thread::current()
-                .name()
-                .map(str::to_string)
-                .unwrap_or_else(|| format!("thread-{id}"));
-            let slot = Arc::new(LiveSlot {
-                label,
-                path: Mutex::new(String::new()),
-            });
-            live_registry()
-                .lock()
-                .expect("live stack registry")
-                .push((id, Arc::clone(&slot)));
-            self.live = Some((id, slot));
-        }
-        if let Some((_, slot)) = &self.live {
-            let mut published = slot.path.lock().expect("live stack slot");
-            published.clear();
-            published.push_str(&self.path);
         }
     }
 
@@ -163,7 +88,6 @@ impl ThreadSpans {
         }
         self.path.push_str(name);
         self.marks.push((prev_len, Instant::now()));
-        self.publish_live();
     }
 
     fn close(&mut self) {
@@ -189,7 +113,6 @@ impl ThreadSpans {
             }
         }
         self.path.truncate(prev_len);
-        self.publish_live();
     }
 
     fn flush(&mut self) {
@@ -210,12 +133,6 @@ impl Drop for ThreadSpans {
         // Worker threads (SimPool workers) merge their tables here when
         // they exit.
         self.flush();
-        if let Some((id, _)) = self.live.take() {
-            live_registry()
-                .lock()
-                .expect("live stack registry")
-                .retain(|(slot_id, _)| *slot_id != id);
-        }
     }
 }
 
@@ -349,34 +266,6 @@ mod tests {
         .unwrap();
         let snap = snapshot();
         assert!(snap.iter().any(|s| s.path == "spans_test.worker_root"));
-    }
-
-    #[test]
-    fn live_stacks_show_open_spans_and_clear_on_close() {
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
-        let worker = std::thread::Builder::new()
-            .name("spans-test-live".into())
-            .spawn(move || {
-                let _outer = span("spans_test.live_outer");
-                let _inner = span("spans_test.live_inner");
-                tx.send(()).unwrap();
-                done_rx.recv().unwrap(); // hold the spans open
-            })
-            .unwrap();
-        rx.recv().unwrap();
-        let stacks = live_stacks();
-        let mine = stacks
-            .iter()
-            .find(|(label, _)| label == "spans-test-live")
-            .expect("worker published a live stack");
-        assert_eq!(mine.1, "spans_test.live_outer;spans_test.live_inner");
-        done_tx.send(()).unwrap();
-        worker.join().unwrap();
-        // The thread exited: its registry slot is gone.
-        assert!(!live_stacks()
-            .iter()
-            .any(|(label, _)| label == "spans-test-live"));
     }
 
     #[test]

@@ -42,12 +42,13 @@
 # so writing the profile costs nothing extra), $OUT/<bin>.audit.json its cycle audit (gvf.cycleaudit —
 # how much simulated time was skippable) and $OUT/<bin>.events.jsonl its
 # live telemetry stream (gvf.events — sweep/cell lifecycle, heartbeats,
-# resource samples; watch a live run with `status --follow`); fig6
+# stall diagnostics; watch a live run on the binary's stderr or with
+# `tail -f` on the stream); fig6
 # additionally records $OUT/fig6.trace.json (Chrome trace-event /
 # Perfetto timeline) and $OUT/fig6.metrics.json (per-epoch metrics).
 # Every artifact is re-parsed by the in-repo validator before the run
 # counts as green, and each events stream is reconciled 1:1 against its
-# binary's manifest.
+# binary's manifest, which also requires it to close with runEnd "ok".
 # Host performance (skipped under --smoke): `python3 perfbench/run.py
 # --workload W --seed 24301 --seconds 0 --trace T` runs three times for
 # each W in eval-grid, micro-dispatch and T in 0 (end-to-end: cpu_s) and
@@ -147,9 +148,9 @@ run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
     run_step "validate cell cache" cargo run --release -p gvf-bench --bin validate_json -- "$OUT"/.cellcache/*.json
   fi
   # Telemetry streams are artifacts too: validate each against the
-  # gvf.events lifecycle invariants, reconcile it 1:1 with its binary's
-  # manifest, and print the status console's roll-up (also asserting
-  # that `status --summary` sees a cleanly finished run).
+  # gvf.events lifecycle invariants and reconcile it 1:1 with its
+  # binary's manifest (a green manifest needs a stream that ends with
+  # runEnd "ok", so this is also the finished-cleanly check).
   if compgen -G "$OUT/*.events.jsonl" > /dev/null; then
     run_step "validate events" cargo run --release -p gvf-bench --bin validate_json -- "$OUT"/*.events.jsonl
     for ev in "$OUT"/*.events.jsonl; do
@@ -157,7 +158,6 @@ run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
       [ -f "$mf" ] || continue
       run_step "reconcile $(basename "$ev")" cargo run --release -p gvf-bench --bin validate_json -- --events-reconcile "$ev" "$mf"
     done
-    run_step "status" cargo run --release -p gvf-bench --bin status -- --summary "$OUT/fig7.events.jsonl"
   fi
 
   # Host performance: the repository benchmark's run records, three per
