@@ -18,7 +18,8 @@
 //! 3. a host-performance summary per run (wall time, throughput, peak
 //!    RSS) from each manifest's `hostPerf` section;
 //! 4. "Where the host time goes": top exclusive-time spans from the
-//!    `gvf.hostprofile` documents — host time per cell and kernel layer;
+//!    `gvf.hostprofile` documents — host time per cell and kernel layer,
+//!    as the host-time collector measured it;
 //! 5. "Fast-forward opportunity" from the `gvf.cycleaudit` documents:
 //!    how much simulated time was skippable per cell, with the hard
 //!    cross-check that every audit's epoch classes sum to

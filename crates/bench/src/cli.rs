@@ -39,9 +39,10 @@ pub struct HarnessOpts {
     /// Write the mechanism-attribution report (`gvf.attribution` v1)
     /// here (`--attrib-out`).
     pub attrib_out: Option<String>,
-    /// Write the host-side span profile (`gvf.hostprofile` v2) here
-    /// (`--profile-out`): the [`gvf_sim::spans`] the process recorded.
-    /// Wall-clock data: excluded from determinism diffs.
+    /// Write the host profile (`gvf.hostprofile` v2) here
+    /// (`--profile-out`): the [`gvf_sim::hostperf`] collector's
+    /// per-cell and per-kernel-layer host time, rendered as span
+    /// paths. Wall-clock data: excluded from determinism diffs.
     pub profile_out: Option<String>,
     /// Write the deterministic cycle-audit report (`gvf.cycleaudit` v1)
     /// here (`--audit-out`). Byte-identical for any `--jobs` value.

@@ -1,8 +1,8 @@
 //! Live run telemetry: the `gvf.events` v3 structured event stream,
 //! flight recorder and stall watchdog.
 //!
-//! Every other observability layer in this repo (probes, `hostPerf`,
-//! spans, the cycle audit) is post-hoc — artifacts written after the
+//! Every other observability layer in this repo (probes, `hostPerf`
+//! and the host profile, the cycle audit) is post-hoc — artifacts written after the
 //! sweep. This module emits machine-readable telemetry **while** a
 //! sweep runs:
 //!

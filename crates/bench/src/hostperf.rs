@@ -1,6 +1,6 @@
-//! `gvf.hostperf` v1 — the host-performance section of a run manifest.
+//! `gvf.hostperf` v2 — the host-performance section of a run manifest.
 //!
-//! [`gvf_sim::hostperf`] collects the raw numbers (phase nanoseconds,
+//! [`gvf_sim::hostperf`] collects the raw numbers (rig nanoseconds,
 //! per-worker pool telemetry, peak RSS); this module turns a
 //! [`HostPerfSnapshot`] into the versioned JSON section every figure
 //! binary embeds under the manifest's `hostPerf` key. The section is
@@ -16,25 +16,28 @@
 //!   [`crate::bench_history`]), because wall clock on a shared host is
 //!   too noisy to compare runs by.
 //!
-//! Schema fields (v1):
+//! Schema fields (v2):
 //!
 //! ```json
 //! {
-//!   "schema": "gvf.hostperf", "version": 1,
+//!   "schema": "gvf.hostperf", "version": 2,
 //!   "wall_s": 1.9, "peak_rss_bytes": 73728000,
-//!   "phases": {"setup_s": .., "alloc_s": .., "simulate_s": .., "report_s": ..},
+//!   "phases": {"alloc_s": .., "simulate_s": ..},
 //!   "sweeps": [{"label": "fig6", "cells": 55, "jobs": 4, "wall_s": ..,
-//!               "cells_per_sec": ..,
-//!               "workers": [{"busy_s": .., "queue_wait_s": .., "idle_s": .., "cells": ..}]}],
+//!               "workers": [{"busy_s": .., "queue_wait_s": .., "cells": ..}]}],
 //!   "throughput": {"cells": 55, "cells_per_sec": ..,
-//!                  "sim_cycles": 123456, "sim_cycles_per_sec": ..}
+//!                  "sim_cycles": 123456, "sim_cycles_per_sec": ..},
+//!   "cellCache": {..}
 //! }
 //! ```
 //!
-//! `alloc_s`/`simulate_s` are CPU time summed across pool workers, so
-//! they can exceed `wall_s` on a parallel run; `setup_s`/`report_s` are
-//! wall time outside the sweeps. Versioning follows the manifest policy
-//! (bump on breaking change, consumers must check).
+//! `alloc_s`/`simulate_s` are the rigs' wall time (each rig reads
+//! [`std::time::Instant`] around its kernels), summed across pool
+//! workers, so they can exceed `wall_s` on a parallel run. The
+//! per-layer split of `simulate_s` is rendered as the
+//! `gvf.hostprofile` document ([`crate::manifest::hostprofile_doc_from`]).
+//! Versioning follows the manifest policy (bump on breaking change,
+//! consumers must check).
 
 use crate::json::Json;
 use gvf_sim::hostperf;
@@ -73,28 +76,21 @@ pub fn host_perf_json_from(snap: &HostPerfSnapshot, total_sim_cycles: u64) -> Js
                 .workers
                 .iter()
                 .map(|w| {
-                    let idle_ns = s
-                        .pool
-                        .wall_ns
-                        .saturating_sub(w.busy_ns)
-                        .saturating_sub(w.queue_wait_ns);
                     Json::obj()
                         .with("busy_s", secs(w.busy_ns))
                         .with("queue_wait_s", secs(w.queue_wait_ns))
-                        .with("idle_s", secs(idle_ns))
                         .with("cells", Json::num_u64(w.cells))
                 })
                 .collect();
             Json::obj()
                 .with("label", Json::str(&s.label))
-                .with("cells", Json::num_u64(s.cells))
+                .with("cells", Json::num_u64(s.pool.cells()))
                 .with("jobs", Json::num_u64(s.pool.jobs as u64))
                 .with("wall_s", secs(s.pool.wall_ns))
-                .with("cells_per_sec", per_sec(s.cells, s.pool.wall_ns))
                 .with("workers", Json::Arr(workers))
         })
         .collect();
-    let total_cells: u64 = snap.sweeps.iter().map(|s| s.cells).sum();
+    let total_cells: u64 = snap.sweeps.iter().map(|s| s.pool.cells()).sum();
     let sweep_wall_ns: u64 = snap.sweeps.iter().map(|s| s.pool.wall_ns).sum();
     Json::obj()
         .with("schema", Json::str(HOSTPERF_SCHEMA))
@@ -110,10 +106,8 @@ pub fn host_perf_json_from(snap: &HostPerfSnapshot, total_sim_cycles: u64) -> Js
         .with(
             "phases",
             Json::obj()
-                .with("setup_s", secs(snap.setup_ns))
                 .with("alloc_s", secs(snap.alloc_ns))
-                .with("simulate_s", secs(snap.simulate_ns))
-                .with("report_s", secs(snap.report_ns)),
+                .with("simulate_s", secs(snap.simulate_ns)),
         )
         .with("sweeps", Json::Arr(sweeps))
         .with(
@@ -147,13 +141,11 @@ mod tests {
     pub(crate) fn sample_snapshot(wall_ns: u64) -> HostPerfSnapshot {
         HostPerfSnapshot {
             wall_ns,
-            setup_ns: wall_ns / 10,
-            report_ns: wall_ns / 20,
             alloc_ns: wall_ns / 4,
             simulate_ns: wall_ns / 2,
+            layers: Default::default(),
             sweeps: vec![SweepTelemetry {
                 label: "fig6".into(),
-                cells: 55,
                 pool: PoolTelemetry {
                     wall_ns: wall_ns / 2,
                     jobs: 2,

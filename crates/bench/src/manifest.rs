@@ -10,7 +10,7 @@
 //!   per cell (see [`emit_failures`]).
 //!   The config section deliberately excludes the host-side `--jobs`
 //!   knob, and the only wall-clock data is the `hostPerf` section
-//!   ([`crate::hostperf`], schema `gvf.hostperf` v1) — which the
+//!   ([`crate::hostperf`], schema `gvf.hostperf` v2) — which the
 //!   determinism diff **strips** via [`strip_host_perf`], so a serial
 //!   and a parallel run of the same grid still compare byte-identical
 //!   (`validate_json --det-diff`, the CI gate).
@@ -38,10 +38,11 @@
 //!   `sms × auditedCycles`, and `auditedCycles` must equal the cell's
 //!   [`Stats`] cycle counter — and wall-clock-free: serial and parallel
 //!   runs emit byte-identical documents.
-//! - `--profile-out` — the **host span profile** (`gvf.hostprofile`
-//!   v2): the [`gvf_sim::spans`] kernel-level wall-time breakdown of
-//!   this process (inclusive/exclusive ns per span path, plus a
-//!   collapsed-stack rendering for flamegraph tools). Wall-clock data
+//! - `--profile-out` — the **host profile** (`gvf.hostprofile` v2):
+//!   the [`gvf_sim::hostperf`] collector's kernel-level wall-time
+//!   breakdown of this process, rendered as span paths
+//!   ([`hostprofile_doc_from`]: inclusive/exclusive ns per path, plus
+//!   a collapsed-stack rendering for flamegraph tools). Wall-clock data
 //!   through and through — excluded from determinism diffs exactly
 //!   like `hostPerf`.
 //!
@@ -53,8 +54,8 @@ use crate::cli::HarnessOpts;
 use crate::json::Json;
 use gvf_core::{LookupAttrib, TagAttrib};
 use gvf_sim::{
-    write_chrome_trace, AccessTag, AttribReport, CycleAuditReport, EpochSeries, LineClass, LogHist,
-    ObsReport, PcLoadStats, StallCause, Stats,
+    write_chrome_trace, AccessTag, AttribReport, CycleAuditReport, EpochSeries, HostPerfSnapshot,
+    LayerTime, LineClass, LogHist, ObsReport, PcLoadStats, PoolTelemetry, StallCause, Stats,
 };
 use gvf_workloads::{AllocAttribSnapshot, AttribBundle, RunResult};
 use std::io::{self, Write};
@@ -652,33 +653,55 @@ pub fn cycleaudit_doc(generator: &str, opts: &HarnessOpts, cells: &[CellRecord])
         .with("cells", Json::Arr(records))
 }
 
-/// Builds the `gvf.hostprofile` document from the process's
-/// [`gvf_sim::spans`] state: one entry per span path with call count
-/// and inclusive/exclusive wall nanoseconds, plus the collapsed-stack
-/// text flamegraph tools consume directly. Wall-clock data: never part
-/// of a determinism diff (the artifact exists so "where did the host
-/// time go" has a measured answer, not a deterministic one).
-pub fn hostprofile_doc(generator: &str) -> Json {
-    let spans = gvf_sim::spans::snapshot();
+/// Builds the `gvf.hostprofile` document from a host-time snapshot:
+/// one entry per span path with call count and inclusive/exclusive
+/// wall nanoseconds, plus the collapsed-stack text flamegraph tools
+/// consume directly. `pool.cell` is the recorded sweeps' cells and
+/// their workers' busy time; its children are the three kernel layers
+/// of [`gvf_sim::KernelLayers`]. Paths with a zero count are left out.
+/// Wall-clock data: never part of a determinism diff (the artifact
+/// exists so "where did the host time go" has a measured answer, not a
+/// deterministic one).
+pub fn hostprofile_doc_from(generator: &str, snap: &HostPerfSnapshot) -> Json {
+    let pools = || snap.sweeps.iter().map(|s| &s.pool);
+    let cell = LayerTime {
+        count: pools().map(PoolTelemetry::cells).sum(),
+        ns: pools().flat_map(|p| &p.workers).map(|w| w.busy_ns).sum(),
+    };
+    let layers = &snap.layers;
+    // (path, time, exclusive ns), sorted by path: exclusive time is
+    // inclusive minus the direct children's, and only the root has any.
+    let spans = [
+        ("pool.cell", cell, cell.ns.saturating_sub(layers.total_ns())),
+        ("pool.cell;kernel.absorb", layers.absorb, layers.absorb.ns),
+        (
+            "pool.cell;kernel.functional",
+            layers.functional,
+            layers.functional.ns,
+        ),
+        ("pool.cell;kernel.timing", layers.timing, layers.timing.ns),
+    ];
+    let spans: Vec<_> = spans.into_iter().filter(|(_, t, _)| t.count > 0).collect();
     let rows: Vec<Json> = spans
         .iter()
-        .map(|s| {
+        .map(|(path, t, exclusive_ns)| {
             Json::obj()
-                .with("path", Json::str(&s.path))
-                .with("count", Json::num_u64(s.count))
-                .with("totalNs", Json::num_u64(s.total_ns))
-                .with("exclusiveNs", Json::num_u64(s.exclusive_ns))
+                .with("path", Json::str(*path))
+                .with("count", Json::num_u64(t.count))
+                .with("totalNs", Json::num_u64(t.ns))
+                .with("exclusiveNs", Json::num_u64(*exclusive_ns))
         })
+        .collect();
+    let collapsed: String = spans
+        .iter()
+        .map(|(path, _, exclusive_ns)| format!("{path} {exclusive_ns}\n"))
         .collect();
     Json::obj()
         .with("schema", Json::str(HOSTPROFILE_SCHEMA))
         .with("version", Json::num_u64(HOSTPROFILE_SCHEMA_VERSION as u64))
         .with("generator", Json::str(generator))
         .with("spans", Json::Arr(rows))
-        .with(
-            "collapsedStacks",
-            Json::str(gvf_sim::collapsed_stacks(&spans)),
-        )
+        .with("collapsedStacks", Json::str(collapsed))
 }
 
 fn write_file(path: &str, contents: &[u8]) -> io::Result<()> {
@@ -728,9 +751,9 @@ pub fn emit(opts: &HarnessOpts, generator: &str, cells: &[CellRecord], obs: Opti
                 cycleaudit_doc(generator, opts, cells).render().as_bytes(),
             )?;
         }
-        // Last, so the profile covers the emission of everything above.
         if let Some(path) = &opts.profile_out {
-            write_file(path, hostprofile_doc(generator).render().as_bytes())?;
+            let doc = hostprofile_doc_from(generator, &gvf_sim::hostperf::snapshot());
+            write_file(path, doc.render().as_bytes())?;
         }
         Ok(())
     };
@@ -970,7 +993,7 @@ mod tests {
         let m = sample_manifest(&cells, 1.0);
         let attrib = attribution_doc("test", &test_opts(), &cells);
         assert!(det_diff(&m, &attrib).is_err());
-        let profile = hostprofile_doc("test");
+        let profile = hostprofile_doc_from("test", &HostPerfSnapshot::default());
         assert!(det_diff(&profile, &profile).is_err());
         assert!(det_diff(&Json::obj(), &Json::obj()).is_err());
     }
@@ -1183,16 +1206,65 @@ mod tests {
     }
 
     #[test]
-    fn hostprofile_doc_has_schema_header_and_span_fields() {
-        let doc = hostprofile_doc("test");
+    fn hostprofile_renders_collector_layers_as_spans() {
+        use gvf_sim::{KernelLayers, SweepTelemetry, WorkerTelemetry};
+        let worker = |busy_ns, cells| WorkerTelemetry {
+            busy_ns,
+            queue_wait_ns: 0,
+            cells,
+        };
+        let layer = |count, ns| LayerTime { count, ns };
+        let snap = HostPerfSnapshot {
+            // The layers outlast the cells' busy time, so the root's
+            // exclusive time saturates at zero; no launch was probed.
+            layers: KernelLayers {
+                functional: layer(3, 400),
+                timing: layer(3, 500),
+                absorb: LayerTime::default(),
+            },
+            sweeps: vec![SweepTelemetry {
+                label: "fig6".into(),
+                pool: PoolTelemetry {
+                    wall_ns: 1_000,
+                    jobs: 2,
+                    workers: vec![worker(300, 1), worker(500, 2)],
+                },
+            }],
+            ..HostPerfSnapshot::default()
+        };
+        let doc = hostprofile_doc_from("test", &snap);
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
             Some(HOSTPROFILE_SCHEMA)
         );
-        assert!(doc.get("spans").and_then(Json::as_arr).is_some());
-        assert!(doc.get("collapsedStacks").and_then(Json::as_str).is_some());
-        let parsed = Json::parse(&doc.render()).expect("parse");
-        assert_eq!(parsed, doc);
+        assert_eq!(Json::parse(&doc.render()).expect("parse"), doc);
+        let spans = doc.get("spans").and_then(Json::as_arr).expect("spans");
+        let field = |s: &Json, k: &str| s.get(k).and_then(Json::as_num).expect(k) as u64;
+        let rows: Vec<(&str, u64, u64, u64)> = spans
+            .iter()
+            .map(|s| {
+                (
+                    s.get("path").and_then(Json::as_str).expect("path"),
+                    field(s, "count"),
+                    field(s, "totalNs"),
+                    field(s, "exclusiveNs"),
+                )
+            })
+            .collect();
+        // The zero-count absorb path is omitted.
+        assert_eq!(
+            rows,
+            [
+                ("pool.cell", 3, 800, 0),
+                ("pool.cell;kernel.functional", 3, 400, 400),
+                ("pool.cell;kernel.timing", 3, 500, 500),
+            ]
+        );
+        // One `path ns` line per span, valued in exclusive time.
+        assert_eq!(
+            doc.get("collapsedStacks").and_then(Json::as_str),
+            Some("pool.cell 0\npool.cell;kernel.functional 400\npool.cell;kernel.timing 500\n")
+        );
     }
 
     #[test]

@@ -61,7 +61,8 @@ pub const CYCLEAUDIT: Schema = Schema {
     id: "gvf.cycleaudit",
     version: 1,
 };
-/// Host-side span profile (wall-clock; excluded from determinism).
+/// Host profile: the host-time collector's per-layer kernel time
+/// (wall-clock; excluded from determinism).
 pub const HOSTPROFILE: Schema = Schema {
     id: "gvf.hostprofile",
     version: 2,
@@ -74,7 +75,7 @@ pub const TIMELINE: Schema = Schema {
 /// Host performance section embedded in the manifest.
 pub const HOSTPERF: Schema = Schema {
     id: "gvf.hostperf",
-    version: 1,
+    version: 2,
 };
 /// Append-only benchmark trajectory (`BENCH_gvf.json`).
 pub const TRAJECTORY: Schema = Schema {

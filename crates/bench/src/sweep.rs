@@ -24,8 +24,8 @@
 //! cache-hit-aware ETA), the flight recorder, and the `--events-out`
 //! JSONL stream. Each sweep also self-reports to
 //! [`gvf_sim::hostperf`]: the pool's [`gvf_sim::PoolTelemetry`]
-//! (per-worker busy/queue-wait/idle time) and the cell count land in
-//! the manifest's `hostPerf` section, which the determinism diff strips
+//! (per-worker busy/queue-wait time and cell counts) lands in the
+//! manifest's `hostPerf` section, which the determinism diff strips
 //! (wall-clock numbers differ run to run by design — see `DESIGN.md`
 //! "Host performance & trajectory").
 
@@ -320,14 +320,10 @@ pub fn grid(label: &str, opts: &HarnessOpts, cells: &[Cell]) -> SweepRun {
             if pool.jobs() == 1 { "" } else { "s" },
         );
     }
-    hostperf::record_sweep(
-        SweepTelemetry {
-            label: label.to_string(),
-            cells: cells.len() as u64,
-            pool: telemetry,
-        },
-        start.elapsed().as_nanos() as u64,
-    );
+    hostperf::record_sweep(SweepTelemetry {
+        label: label.to_string(),
+        pool: telemetry,
+    });
     let runtime = hooks.runtime.into_inner().expect("sweep runtime mutex");
     let cells = out
         .into_iter()

@@ -5,17 +5,19 @@
 //! the per-worker pool telemetry and the simulation results must all
 //! reconcile with each other — even though cache hits take near-zero
 //! busy time, and even for a cell that records a timeline, which skips
-//! the cache read but writes its result. The always-on span profile of the same sweeps
-//! must hold kernel-level paths only.
+//! the cache read but writes its result. The host profile rendered from
+//! the same always-on collector must hold exactly the kernel-level
+//! paths, and reconcile with the pool telemetry and the rig time.
 //!
 //! This lives in its own integration-test file on purpose: the cache
-//! counters, the host-perf collector and the span registry are
-//! process-global statics, so the test needs a process where no other
-//! sweep has ever run. Keep it the only `#[test]` here.
+//! counters and the host-time collector are process-global statics, so
+//! the test needs a process where no other sweep has ever run. Keep it
+//! the only `#[test]` here.
 
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::hostperf::host_perf_json;
 use gvf_bench::json::Json;
+use gvf_bench::manifest::hostprofile_doc_from;
 use gvf_bench::sweep::{grid, Cell};
 use gvf_core::Strategy;
 use gvf_workloads::{WorkloadConfig, WorkloadKind};
@@ -95,14 +97,13 @@ fn overlapping_sweeps_share_cells_and_counters_reconcile() {
     assert_eq!(num(cc, "entriesWritten"), 2 * n);
 
     // Pool-telemetry accounting: both sweeps recorded, each crediting
-    // every cell to exactly one worker, with non-negative idle time
-    // (busy + queue-wait never exceeds the pool's wall clock) — the
-    // cache hits included, where busy time is near zero.
+    // every cell to exactly one worker, with busy + queue-wait never
+    // exceeding the pool's wall clock — the cache hits included, where
+    // busy time is near zero.
     let snap = gvf_sim::hostperf::snapshot();
-    assert_eq!(snap.sweeps.len(), 2, "one telemetry record per sweep");
+    let sweep_cells: Vec<u64> = snap.sweeps.iter().map(|s| s.pool.cells()).collect();
+    assert_eq!(sweep_cells, [n, 2 * n], "one telemetry record per sweep");
     for s in &snap.sweeps {
-        let credited: u64 = s.pool.workers.iter().map(|w| w.cells).sum();
-        assert_eq!(credited, s.cells, "sweep {} worker cell credit", s.label);
         for w in &s.pool.workers {
             assert!(
                 w.busy_ns + w.queue_wait_ns <= s.pool.wall_ns,
@@ -115,45 +116,58 @@ fn overlapping_sweeps_share_cells_and_counters_reconcile() {
         }
     }
     // Every cell either came from the cache or was simulated.
-    let telemetry_cells: u64 = snap.sweeps.iter().map(|s| s.cells).sum();
+    let telemetry_cells: u64 = sweep_cells.iter().sum();
     assert_eq!(telemetry_cells, n + 2 * n);
     assert_eq!(
         num(cc, "cachedCells") + num(cc, "simulatedCells"),
         telemetry_cells
     );
 
-    // Span accounting: recorded without `profile_out` or an events
-    // sink, at kernel granularity only — a pool cell and at most three
-    // kernel spans per timed kernel, never per epoch or per load.
-    let spans = gvf_sim::spans::snapshot();
-    assert!(
-        !spans.is_empty(),
-        "spans recorded with no profile requested"
-    );
-    for s in &spans {
-        assert!(
-            KERNEL_LEVEL_SPANS.contains(&s.path.as_str()),
-            "span path {:?} below kernel granularity",
-            s.path
-        );
-    }
-    let timed_kernels = spans
+    // Host profile: recorded without `profile_out` or an events sink,
+    // at kernel granularity only, and rendered from the same snapshot.
+    let profile = hostprofile_doc_from("test", &snap);
+    let spans: Vec<(String, u64, u64)> = profile
+        .get("spans")
+        .and_then(Json::as_arr)
+        .expect("profile spans")
         .iter()
-        .find(|s| s.path == "pool.cell;kernel.timing")
-        .map_or(0, |s| s.count);
-    let span_count: u64 = spans.iter().map(|s| s.count).sum();
-    assert!(
-        span_count <= telemetry_cells + 3 * timed_kernels,
-        "{span_count} spans for {telemetry_cells} cells and {timed_kernels} timed kernels"
+        .map(|s| {
+            let field = |k: &str| s.get(k).and_then(Json::as_num).expect(k) as u64;
+            let path = s.get("path").and_then(Json::as_str).expect("path");
+            (path.to_string(), field("count"), field("totalNs"))
+        })
+        .collect();
+    let paths: Vec<&str> = spans.iter().map(|(p, ..)| p.as_str()).collect();
+    // Every cell is probed (the audit is on), so absorb is present.
+    assert_eq!(paths, KERNEL_LEVEL_SPANS);
+    let (cell_count, cell_ns) = (spans[0].1, spans[0].2);
+    assert_eq!(cell_count, telemetry_cells, "pool.cell count");
+    let busy_ns: u64 = snap
+        .sweeps
+        .iter()
+        .flat_map(|s| &s.pool.workers)
+        .map(|w| w.busy_ns)
+        .sum();
+    assert_eq!(cell_ns, busy_ns, "pool.cell totalNs");
+    let (absorb, functional, timing) = (&spans[1], &spans[2], &spans[3]);
+    assert!(absorb.1 > 0, "probed launches record kernel.absorb");
+    assert_eq!(
+        functional.1, timing.1,
+        "one functional and one timing layer per launch"
+    );
+    assert_eq!(
+        snap.simulate_ns,
+        absorb.2 + functional.2 + timing.2,
+        "simulate_ns is the sum of the three layers"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every span path a sweep may record.
+/// Every span path a probed sweep records, in the profile's path order.
 const KERNEL_LEVEL_SPANS: [&str; 4] = [
     "pool.cell",
+    "pool.cell;kernel.absorb",
     "pool.cell;kernel.functional",
     "pool.cell;kernel.timing",
-    "pool.cell;kernel.absorb",
 ];

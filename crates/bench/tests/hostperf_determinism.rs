@@ -46,13 +46,11 @@ fn cells() -> Vec<CellRecord> {
 fn snapshot(variant: u64) -> HostPerfSnapshot {
     HostPerfSnapshot {
         wall_ns: 1_000_000_000 * (variant + 1),
-        setup_ns: 7_000_000 * (variant + 1),
-        report_ns: 3_000_000,
         alloc_ns: 90_000_000 * (variant + 1),
         simulate_ns: 800_000_000,
+        layers: Default::default(),
         sweeps: vec![SweepTelemetry {
             label: "fig6".into(),
-            cells: 1,
             pool: PoolTelemetry {
                 wall_ns: 900_000_000 / (variant + 1),
                 jobs: variant as usize + 1,

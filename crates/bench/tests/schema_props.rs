@@ -1,5 +1,5 @@
 //! Property tests for the two host-performance schemas
-//! (`gvf.hostperf` v1 and `gvf.bench-trajectory` v2): any generated
+//! (`gvf.hostperf` v2 and `gvf.bench-trajectory` v2): any generated
 //! document must survive the render → parse round trip of the in-repo
 //! JSON layer, and the trajectory must additionally decode back to an
 //! equal value — the same guarantee the older schemas already enjoy
@@ -21,16 +21,14 @@ fn arb_snapshot(rng: &mut Rng) -> HostPerfSnapshot {
     let n_sweeps = rng.range_usize(0, 4);
     HostPerfSnapshot {
         wall_ns: rng.range_u64(0, 1 << 40),
-        setup_ns: rng.range_u64(0, 1 << 30),
-        report_ns: rng.range_u64(0, 1 << 30),
         alloc_ns: rng.range_u64(0, 1 << 40),
         simulate_ns: rng.range_u64(0, 1 << 40),
+        layers: Default::default(),
         sweeps: (0..n_sweeps)
             .map(|i| {
                 let jobs = rng.range_usize(1, 9);
                 SweepTelemetry {
                     label: format!("sweep{i}"),
-                    cells: rng.range_u64(0, 1 << 16),
                     pool: PoolTelemetry {
                         wall_ns: rng.range_u64(0, 1 << 40),
                         jobs,
@@ -96,7 +94,7 @@ fn arb_entry(rng: &mut Rng, i: usize) -> TrajectoryEntry {
     }
 }
 
-/// `gvf.hostperf` v1: the emitted section always parses back to an
+/// `gvf.hostperf` v2: the emitted section always parses back to an
 /// equal JSON tree and keeps its schema header and throughput block,
 /// whatever the snapshot — including zero-duration and worker-less
 /// degenerate shapes.

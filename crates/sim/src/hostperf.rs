@@ -1,28 +1,31 @@
 //! Host-performance telemetry: where does the *simulator's* wall-clock
 //! time go?
 //!
-//! PR 2 made the simulated machine observable; this module observes the
-//! machine running the simulation. It is a process-wide collector that
+//! This is the one host-time collector. It is process-wide and
 //! accumulates, with negligible overhead (a handful of clock reads and
 //! atomic adds per simulation cell, never per simulated event):
 //!
-//! - **phase time** — host nanoseconds attributed to the
-//!   [`Phase::Alloc`] (object construction, range finalization, host
-//!   frame prep) and [`Phase::Simulate`] (functional trace generation +
-//!   timing replay) phases, fed by `gvf-workloads`' `Rig`; the
-//!   setup/report phases are derived from the sweep bounds recorded by
-//!   the harness ([`record_sweep`]);
-//! - **pool telemetry** — per-worker busy / queue-wait / idle time and
-//!   cell counts from [`crate::SimPool::run_timed`], one
-//!   [`SweepTelemetry`] per sweep;
+//! - **rig time** — host nanoseconds of `gvf-workloads`' `Rig`: the
+//!   alloc time (object construction, range finalization, host frame
+//!   prep) and, per kernel launch, three consecutive [`KernelLayers`]
+//!   (functional pass, timing replay, probe absorption), flushed by
+//!   each rig on drop ([`add_rig`]). Each rig reads [`Instant`], so
+//!   these are per-rig wall time summed across pool workers;
+//! - **pool telemetry** — per-worker busy / queue-wait time and cell
+//!   counts from [`crate::SimPool::run_timed`], one [`SweepTelemetry`]
+//!   per sweep ([`record_sweep`]);
 //! - **peak RSS** — `VmHWM` from `/proc/self/status`
 //!   ([`peak_rss_bytes`]), `None` off Linux.
 //!
+//! The run manifest's `hostPerf` section and the `gvf.hostprofile`
+//! document (`pool.cell` → `kernel.functional` / `kernel.timing` /
+//! `kernel.absorb`) are both renderings of one [`snapshot`].
+//!
 //! Everything here is **host-side only**: nothing feeds back into
 //! simulated timing, nothing prints to stdout (the stderr-only rule of
-//! the determinism contract), and the harness excludes the emitted
-//! `hostPerf` manifest section from the serial-vs-parallel determinism
-//! diff — wall-clock numbers differ run to run by design.
+//! the determinism contract), and the harness excludes both renderings
+//! from the serial-vs-parallel determinism diff — wall-clock numbers
+//! differ run to run by design.
 //!
 //! The collector is global because its producers live in three crates
 //! (`gvf-sim`'s pool, `gvf-workloads`' rig, `gvf-bench`'s harness) and
@@ -35,13 +38,43 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// A host phase that accumulates attributed nanoseconds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Phase {
-    /// Object construction, allocator work, host-side frame prep.
-    Alloc,
-    /// Functional kernel execution plus timing-model replay.
-    Simulate,
+/// Host time of one kernel layer: how many launches ran it and their
+/// summed nanoseconds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LayerTime {
+    /// Kernel launches that ran this layer.
+    pub count: u64,
+    /// Summed wall nanoseconds.
+    pub ns: u64,
+}
+
+impl LayerTime {
+    /// Adds one launch that ran this layer from `from` to `to`.
+    pub fn add(&mut self, from: Instant, to: Instant) {
+        self.count += 1;
+        self.ns += to.saturating_duration_since(from).as_nanos() as u64;
+    }
+}
+
+/// The three consecutive layers a rig splits each kernel launch into.
+/// Their sum is the launch's whole host time.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KernelLayers {
+    /// Per-launch setup plus the functional pass that records the
+    /// trace.
+    pub functional: LayerTime,
+    /// The timing engine's replay of the trace.
+    pub timing: LayerTime,
+    /// Folding the probes' reports into the rig's (probed launches
+    /// only), plus the statistics add.
+    pub absorb: LayerTime,
+}
+
+impl KernelLayers {
+    /// Summed nanoseconds of the three layers.
+    pub fn total_ns(&self) -> u64 {
+        self.functional.ns + self.timing.ns + self.absorb.ns
+    }
 }
 
 /// Busy/wait accounting for one pool worker over one sweep.
@@ -63,19 +96,22 @@ pub struct PoolTelemetry {
     pub wall_ns: u64,
     /// Resolved worker count.
     pub jobs: usize,
-    /// Per-worker accounting, indexed by worker id. A worker's idle
-    /// time is `wall_ns - busy_ns - queue_wait_ns` (it exists because
-    /// the pool only joins once every cell is done).
+    /// Per-worker accounting, indexed by worker id.
     pub workers: Vec<WorkerTelemetry>,
 }
 
-/// One harness sweep: a labelled [`PoolTelemetry`] plus the cell count.
+impl PoolTelemetry {
+    /// Cells the pool ran: every cell is credited to exactly one worker.
+    pub fn cells(&self) -> u64 {
+        self.workers.iter().map(|w| w.cells).sum()
+    }
+}
+
+/// One harness sweep: a labelled [`PoolTelemetry`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SweepTelemetry {
     /// The sweep's label (usually the figure binary's name).
     pub label: String,
-    /// Grid cells executed.
-    pub cells: u64,
     /// The pool's self-measurement.
     pub pool: PoolTelemetry,
 }
@@ -85,18 +121,15 @@ pub struct SweepTelemetry {
 pub struct HostPerfSnapshot {
     /// Wall nanoseconds since [`process_start`] was first anchored.
     pub wall_ns: u64,
-    /// Wall nanoseconds from anchor to the first sweep's start (flag
-    /// parsing, binary startup); equals `wall_ns` when nothing swept.
-    pub setup_ns: u64,
-    /// Wall nanoseconds from the last sweep's end to this snapshot
-    /// (table formatting, artifact emission); `0` when nothing swept.
-    pub report_ns: u64,
-    /// Attributed [`Phase::Alloc`] nanoseconds, summed across workers
-    /// (CPU time, so it can exceed the sweep's wall time).
+    /// Rig nanoseconds outside kernel launches (object construction,
+    /// host work between and after kernels), summed across workers, so
+    /// it can exceed the sweep's wall time.
     pub alloc_ns: u64,
-    /// Attributed [`Phase::Simulate`] nanoseconds, summed across
-    /// workers.
+    /// Rig nanoseconds inside kernel launches, summed across workers:
+    /// the sum of the three [`layers`](Self::layers).
     pub simulate_ns: u64,
+    /// The kernel launches' host time, layer by layer.
+    pub layers: KernelLayers,
     /// One entry per harness sweep, in execution order.
     pub sweeps: Vec<SweepTelemetry>,
     /// Peak resident set size in bytes (`VmHWM`), `None` when the
@@ -104,32 +137,51 @@ pub struct HostPerfSnapshot {
     pub peak_rss_bytes: Option<u64>,
 }
 
-struct Collector {
-    start: Instant,
-    phase_ns: [AtomicU64; 2],
-    first_sweep_start_ns: AtomicU64,
-    last_sweep_end_ns: AtomicU64,
-    sweeps: Mutex<Vec<SweepTelemetry>>,
+/// A [`LayerTime`] of atomics, so rigs on every worker can add to it.
+#[derive(Default)]
+struct LayerCell {
+    count: AtomicU64,
+    ns: AtomicU64,
 }
 
-/// Sentinel for "no sweep start recorded yet" (the end-bound sentinel
-/// is `0`, so it can grow through `fetch_max`).
-const UNSET: u64 = u64::MAX;
+impl LayerCell {
+    fn add(&self, t: LayerTime) {
+        self.count.fetch_add(t.count, Ordering::Relaxed);
+        self.ns.fetch_add(t.ns, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> LayerTime {
+        LayerTime {
+            count: self.count.load(Ordering::Relaxed),
+            ns: self.ns.load(Ordering::Relaxed),
+        }
+    }
+}
+
+struct Collector {
+    start: Instant,
+    alloc_ns: AtomicU64,
+    functional: LayerCell,
+    timing: LayerCell,
+    absorb: LayerCell,
+    sweeps: Mutex<Vec<SweepTelemetry>>,
+}
 
 fn collector() -> &'static Collector {
     static COLLECTOR: OnceLock<Collector> = OnceLock::new();
     COLLECTOR.get_or_init(|| Collector {
         start: Instant::now(),
-        phase_ns: [AtomicU64::new(0), AtomicU64::new(0)],
-        first_sweep_start_ns: AtomicU64::new(UNSET),
-        last_sweep_end_ns: AtomicU64::new(0),
+        alloc_ns: AtomicU64::new(0),
+        functional: LayerCell::default(),
+        timing: LayerCell::default(),
+        absorb: LayerCell::default(),
         sweeps: Mutex::new(Vec::new()),
     })
 }
 
 /// Anchors (on first call) and returns the process-wide start instant
 /// all wall-clock figures are measured from. Harness binaries call this
-/// as their first statement so `setup` covers flag parsing.
+/// as their first statement so `wall_ns` covers flag parsing.
 pub fn process_start() -> Instant {
     collector().start
 }
@@ -139,32 +191,24 @@ pub fn elapsed_ns() -> u64 {
     collector().start.elapsed().as_nanos() as u64
 }
 
-/// Adds attributed nanoseconds to a phase (called by the workload rig
-/// once per kernel launch / rig teardown, never per simulated event).
-pub fn add_phase_ns(phase: Phase, ns: u64) {
-    collector().phase_ns[phase as usize].fetch_add(ns, Ordering::Relaxed);
+/// Adds one rig's host time: its alloc nanoseconds and its kernel
+/// launches' layers (called by the workload rig once, on drop, never
+/// per simulated event).
+pub fn add_rig(alloc_ns: u64, layers: &KernelLayers) {
+    let c = collector();
+    c.alloc_ns.fetch_add(alloc_ns, Ordering::Relaxed);
+    c.functional.add(layers.functional);
+    c.timing.add(layers.timing);
+    c.absorb.add(layers.absorb);
 }
 
-/// Records one finished sweep and extends the sweep bounds that define
-/// the derived setup/report phases. `started_ns_ago` is how long before
-/// *now* the sweep began (its wall time plus any heartbeat tail).
-pub fn record_sweep(sweep: SweepTelemetry, started_ns_ago: u64) {
-    let c = collector();
-    let now = elapsed_ns();
-    let start = now.saturating_sub(started_ns_ago);
-    // First writer wins for the sweep start; last writer wins for the
-    // end. Both are monotone under concurrent sweeps.
-    let _ = c
-        .first_sweep_start_ns
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |prev| {
-            if prev == UNSET || start < prev {
-                Some(start)
-            } else {
-                None
-            }
-        });
-    c.last_sweep_end_ns.fetch_max(now, Ordering::Relaxed);
-    c.sweeps.lock().expect("sweep telemetry mutex").push(sweep);
+/// Records one finished sweep.
+pub fn record_sweep(sweep: SweepTelemetry) {
+    collector()
+        .sweeps
+        .lock()
+        .expect("sweep telemetry mutex")
+        .push(sweep);
 }
 
 /// Peak resident set size of this process in bytes, from
@@ -201,19 +245,16 @@ fn parse_vm_hwm(status: &str) -> Option<u64> {
 /// call once per artifact emission; not meant for hot loops.
 pub fn snapshot() -> HostPerfSnapshot {
     let c = collector();
-    let wall_ns = elapsed_ns();
-    let first = c.first_sweep_start_ns.load(Ordering::Relaxed);
-    let last = c.last_sweep_end_ns.load(Ordering::Relaxed);
+    let layers = KernelLayers {
+        functional: c.functional.load(),
+        timing: c.timing.load(),
+        absorb: c.absorb.load(),
+    };
     HostPerfSnapshot {
-        wall_ns,
-        setup_ns: if first == UNSET { wall_ns } else { first },
-        report_ns: if last == 0 {
-            0
-        } else {
-            wall_ns.saturating_sub(last)
-        },
-        alloc_ns: c.phase_ns[Phase::Alloc as usize].load(Ordering::Relaxed),
-        simulate_ns: c.phase_ns[Phase::Simulate as usize].load(Ordering::Relaxed),
+        wall_ns: elapsed_ns(),
+        alloc_ns: c.alloc_ns.load(Ordering::Relaxed),
+        simulate_ns: layers.total_ns(),
+        layers,
         sweeps: c.sweeps.lock().expect("sweep telemetry mutex").clone(),
         peak_rss_bytes: peak_rss_bytes(),
     }
@@ -224,31 +265,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn phases_accumulate_and_snapshot_is_monotone() {
+    fn rig_time_accumulates_and_snapshot_is_monotone() {
         let before = snapshot();
-        add_phase_ns(Phase::Alloc, 1_000);
-        add_phase_ns(Phase::Simulate, 2_000);
+        let layer = |ns| LayerTime { count: 1, ns };
+        add_rig(
+            1_000,
+            &KernelLayers {
+                functional: layer(2_000),
+                timing: layer(3_000),
+                absorb: LayerTime::default(),
+            },
+        );
         let after = snapshot();
         assert!(after.alloc_ns >= before.alloc_ns + 1_000);
-        assert!(after.simulate_ns >= before.simulate_ns + 2_000);
+        assert!(after.simulate_ns >= before.simulate_ns + 5_000);
+        assert!(after.layers.functional.count > before.layers.functional.count);
+        assert_eq!(after.simulate_ns, after.layers.total_ns());
         assert!(after.wall_ns >= before.wall_ns);
     }
 
     #[test]
-    fn sweep_bounds_shape_setup_and_report() {
-        record_sweep(
-            SweepTelemetry {
-                label: "test".into(),
-                cells: 3,
-                pool: PoolTelemetry::default(),
-            },
-            0,
-        );
-        let snap = snapshot();
-        assert!(snap.sweeps.iter().any(|s| s.label == "test"));
-        // A sweep exists, so setup must end at (or before) now and the
-        // report tail starts counting.
-        assert!(snap.setup_ns <= snap.wall_ns);
+    fn recorded_sweeps_reach_the_snapshot() {
+        record_sweep(SweepTelemetry {
+            label: "test".into(),
+            pool: PoolTelemetry::default(),
+        });
+        assert!(snapshot().sweeps.iter().any(|s| s.label == "test"));
     }
 
     #[test]

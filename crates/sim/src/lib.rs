@@ -52,7 +52,6 @@ mod instr;
 mod pool;
 pub mod probe;
 pub mod simt;
-pub mod spans;
 mod stats;
 pub mod timeline;
 mod trace;
@@ -64,7 +63,9 @@ pub use cache::{CacheProbe, SectoredCache};
 pub use config::GpuConfig;
 pub use engine::Gpu;
 pub use exec::{lanes_from_fn, lanes_none, run_kernel, Lanes, WarpCtx, WARP_SIZE};
-pub use hostperf::{HostPerfSnapshot, PoolTelemetry, SweepTelemetry, WorkerTelemetry};
+pub use hostperf::{
+    HostPerfSnapshot, KernelLayers, LayerTime, PoolTelemetry, SweepTelemetry, WorkerTelemetry,
+};
 pub use instr::{AccessTag, InstrClass, LaneAddrs, MemOp, Op, Space, UNKNOWN_CALL_TARGET};
 pub use pool::{CellFailure, CellHooks, CellObservation, SimPool};
 pub use probe::{
@@ -73,7 +74,6 @@ pub use probe::{
     ObsReport, Probe, ProbeSpec, RecordingProbe, StallCause, CALL_SITE_TARGET_CAP,
     CYCLE_CLASS_LABELS, STALL_CAUSES,
 };
-pub use spans::{collapsed_stacks, SpanStat};
 pub use stats::{Stats, STALL_INDIRECT_CALL};
 pub use timeline::{
     write_chrome_trace, TimelineProbe, TraceEvent, TraceEventKind, TIMELINE_SCHEMA,

@@ -119,7 +119,6 @@ fn run_cell<I, T, F>(f: &F, i: usize, input: &I) -> Result<T, CellFailure>
 where
     F: Fn(usize, &I) -> T + Sync,
 {
-    let _cell = crate::spans::span("pool.cell");
     catch_unwind(AssertUnwindSafe(|| f(i, input))).map_err(|payload| CellFailure {
         index: i,
         payload: payload_string(payload),

@@ -4,7 +4,7 @@ use crate::config::{AllocAttribSnapshot, AttribBundle, WorkloadConfig};
 use gvf_alloc::{AllocatorKind, CudaHeapAllocator, DeviceAllocator, SharedOa};
 use gvf_core::{DeviceProgram, Strategy, TypeId, TypeRegistry};
 use gvf_mem::{DeviceMemory, VirtAddr};
-use gvf_sim::hostperf::{self, Phase};
+use gvf_sim::hostperf::{self, KernelLayers};
 use gvf_sim::{recording_probe, Gpu, KernelTrace, ObsReport, ProbeSpec, Stats, WarpCtx};
 use std::time::Instant;
 
@@ -22,12 +22,12 @@ pub struct Rig {
     objects_built: u64,
     probe_spec: ProbeSpec,
     obs: ObsReport,
-    // Host-phase attribution (wall time of this rig, split between the
-    // alloc/build phase and kernel execution). Two clock reads per
-    // kernel launch, never per object — see gvf_sim::hostperf.
+    // Host-time attribution (wall time of this rig, split between the
+    // alloc/build phase and each kernel's layers). One clock read per
+    // layer boundary, never per object — see gvf_sim::hostperf.
     last_mark: Instant,
     alloc_ns: u64,
-    simulate_ns: u64,
+    layers: KernelLayers,
 }
 
 impl Rig {
@@ -64,7 +64,7 @@ impl Rig {
             obs: ObsReport::default(),
             last_mark: Instant::now(),
             alloc_ns: 0,
-            simulate_ns: 0,
+            layers: KernelLayers::default(),
         }
     }
 
@@ -100,50 +100,44 @@ impl Rig {
     ) -> KernelTrace {
         // Everything since the last kernel (object construction, range
         // finalization, host frame prep) belongs to the alloc phase;
-        // the kernel call itself — functional execution plus timing
-        // replay — is the simulate phase.
-        let kernel_start = Instant::now();
-        self.alloc_ns += kernel_start
-            .saturating_duration_since(self.last_mark)
-            .as_nanos() as u64;
+        // the kernel call itself splits into three consecutive layers:
+        // functional (launch setup and the functional pass), timing
+        // (the engine's replay) and, on probed launches, absorb
+        // (folding the probes' reports in). The statistics add closes
+        // the last layer.
+        let start = Instant::now();
+        self.alloc_ns += start.saturating_duration_since(self.last_mark).as_nanos() as u64;
         self.prog.begin_kernel(&mut self.mem);
         let prog = &self.prog;
-        let trace = {
-            let _fx = gvf_sim::spans::span("kernel.functional");
-            gvf_sim::run_kernel(&mut self.mem, n_threads, |w| body(prog, w))
-        };
-        let s = if self.probe_spec.is_off() {
+        let trace = gvf_sim::run_kernel(&mut self.mem, n_threads, |w| body(prog, w));
+        let functional_end = Instant::now();
+        self.layers.functional.add(start, functional_end);
+        let (s, timing_end) = if self.probe_spec.is_off() {
             // Zero-overhead default: the NopProbe monomorphization.
-            let _tm = gvf_sim::spans::span("kernel.timing");
-            self.gpu.execute(&trace)
+            (self.gpu.execute(&trace), None)
         } else {
             let spec = self.probe_spec;
-            let (s, probes) = {
-                let _tm = gvf_sim::spans::span("kernel.timing");
-                self.gpu
-                    .execute_probed(&trace, |sm| recording_probe(sm, spec))
-            };
+            let (s, probes) = self
+                .gpu
+                .execute_probed(&trace, |sm| recording_probe(sm, spec));
+            let timing_end = Instant::now();
             // Offset this launch's timeline by the cycles already
             // simulated, so back-to-back kernels read as one run; the
             // launch's own cycle count closes the cycle audit's books.
-            // The absorb span measures the probe overhead itself.
-            let _ab = gvf_sim::spans::span("kernel.absorb");
             self.obs.absorb(self.stats.cycles, s.cycles, probes);
-            s
+            (s, Some(timing_end))
         };
         self.stats += &s;
-        let kernel_end = Instant::now();
-        self.simulate_ns += kernel_end
-            .saturating_duration_since(kernel_start)
-            .as_nanos() as u64;
-        self.last_mark = kernel_end;
+        let end = Instant::now();
+        match timing_end {
+            None => self.layers.timing.add(functional_end, end),
+            Some(timing_end) => {
+                self.layers.timing.add(functional_end, timing_end);
+                self.layers.absorb.add(timing_end, end);
+            }
+        }
+        self.last_mark = end;
         trace
-    }
-
-    /// Host nanoseconds this rig has attributed so far as
-    /// `(alloc, simulate)` — flushed to [`gvf_sim::hostperf`] on drop.
-    pub fn host_phase_ns(&self) -> (u64, u64) {
-        (self.alloc_ns, self.simulate_ns)
     }
 
     /// Accumulated statistics over every kernel run so far.
@@ -209,8 +203,7 @@ impl Drop for Rig {
         // covers rigs that never launch a kernel, like the §8.2
         // allocation-only comparison.
         self.alloc_ns += self.last_mark.elapsed().as_nanos() as u64;
-        hostperf::add_phase_ns(Phase::Alloc, self.alloc_ns);
-        hostperf::add_phase_ns(Phase::Simulate, self.simulate_ns);
+        hostperf::add_rig(self.alloc_ns, &self.layers);
     }
 }
 

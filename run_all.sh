@@ -37,9 +37,10 @@
 # Artifacts: $OUT/<bin>.json is each binary's gvf.run-manifest (with an
 # embedded gvf.hostperf section), $OUT/<bin>.attrib.json its
 # mechanism-attribution report (gvf.attribution), $OUT/<bin>.profile.json
-# its host-side span profile (gvf.hostprofile — where the wall-clock
-# time went, per cell and kernel layer; spans are recorded in every run,
-# so writing the profile costs nothing extra), $OUT/<bin>.audit.json its cycle audit (gvf.cycleaudit —
+# its host profile (gvf.hostprofile — where the wall-clock time went,
+# per cell and kernel layer, rendered from the same host-time collector
+# as hostPerf, which times every run, so writing the profile costs
+# nothing extra), $OUT/<bin>.audit.json its cycle audit (gvf.cycleaudit —
 # how much simulated time was skippable) and $OUT/<bin>.events.jsonl its
 # live telemetry stream (gvf.events — sweep/cell lifecycle, heartbeats,
 # stall diagnostics; watch a live run on the binary's stderr or with
