@@ -186,7 +186,7 @@ impl TrajectoryEntry {
             unreachable!("from_json admits objects only")
         };
         let provenance = [("rev", &self.rev), ("date", &self.date)];
-        let provenance = provenance.map(|(k, v)| (k.to_string(), Json::str(v)));
+        let provenance = provenance.map(|(k, v)| (k.into(), Json::str(v)));
         Json::Obj(
             provenance
                 .into_iter()
@@ -549,7 +549,7 @@ mod tests {
         let mut m = Json::obj();
         for (name, value) in metrics {
             m.set(
-                name,
+                name.to_string(),
                 Json::obj()
                     .with("value", Json::Num(*value))
                     .with("unit", Json::str("ns")),

@@ -82,7 +82,7 @@ fn fmt_num(x: f64) -> String {
 
 fn scalar(v: &Json) -> String {
     match v {
-        Json::Str(s) => s.clone(),
+        Json::Str(s) => s.to_string(),
         Json::Num(n) => fmt_num(*n),
         Json::Bool(b) => b.to_string(),
         Json::Null => "-".to_string(),
@@ -103,8 +103,8 @@ fn cells_section(doc: &Json) -> String {
                 if matches!(v, Json::Obj(_) | Json::Arr(_)) {
                     continue; // stats / derived, handled below
                 }
-                if !coord_keys.contains(k) {
-                    coord_keys.push(k.clone());
+                if !coord_keys.iter().any(|c| c == k) {
+                    coord_keys.push(k.to_string());
                 }
             }
         }
@@ -290,7 +290,7 @@ fn attribution_section(adoc: &Json) -> String {
             continue;
         };
         for (tag, e) in by_tag {
-            let key = (strategy.clone(), tag.clone());
+            let key = (strategy.clone(), tag.to_string());
             let vals = [
                 e.get("instructions"),
                 e.get("lanes"),

@@ -181,14 +181,22 @@ fn parse_u64_arr(j: &Json) -> Option<Vec<u64>> {
         .collect()
 }
 
+/// An array of exactly `N` counters, decoded without a temporary `Vec`.
+fn parse_u64_row<const N: usize>(j: &Json) -> Option<[u64; N]> {
+    let items: &[Json; N] = j.as_arr()?.try_into().ok()?;
+    let mut out = [0; N];
+    for (o, x) in out.iter_mut().zip(items) {
+        *o = x.as_num()? as u64;
+    }
+    Some(out)
+}
+
 fn log_hist_counts(h: &LogHist) -> Json {
     u64_arr(h.counts())
 }
 
 fn parse_log_hist(j: &Json) -> Option<LogHist> {
-    let v = parse_u64_arr(j)?;
-    let counts: [u64; LOG_HIST_BUCKETS] = v.try_into().ok()?;
-    Some(LogHist::from_counts(counts))
+    Some(LogHist::from_counts(parse_u64_row::<LOG_HIST_BUCKETS>(j)?))
 }
 
 fn attrib_json(b: &AttribBundle) -> Json {
@@ -283,8 +291,7 @@ fn parse_attrib(j: &Json) -> Option<AttribBundle> {
         ..AttribReport::default()
     };
     for row in p.get("per_pc")?.as_arr()? {
-        let v = parse_u64_arr(row)?;
-        let [pc, tag, instructions, lanes, transactions, l1_hits] = v.try_into().ok()?;
+        let [pc, tag, instructions, lanes, transactions, l1_hits] = parse_u64_row(row)?;
         probe.per_pc.insert(
             (pc as usize, tag as usize),
             PcLoadStats {
@@ -302,7 +309,7 @@ fn parse_attrib(j: &Json) -> Option<AttribBundle> {
     for (slot, j) in probe.reuse.iter_mut().zip(reuse) {
         *slot = parse_log_hist(j)?;
     }
-    probe.cold_lines = parse_u64_arr(p.get("cold_lines")?)?.try_into().ok()?;
+    probe.cold_lines = parse_u64_row(p.get("cold_lines")?)?;
 
     let alloc = match j.get("alloc")? {
         Json::Null => None,
@@ -314,9 +321,8 @@ fn parse_attrib(j: &Json) -> Option<AttribBundle> {
                 .as_arr()?
                 .iter()
                 .map(|row| {
-                    let v = parse_u64_arr(row)?;
                     let [ty, obj_size, regions, capacity_objs, used_objs, largest, next] =
-                        v.try_into().ok()?;
+                        parse_u64_row(row)?;
                     Some(TypeRegionStats {
                         ty: TypeKey(ty as u32),
                         obj_size,
@@ -402,9 +408,8 @@ fn audit_json(a: &CycleAuditReport) -> Json {
 }
 
 fn parse_audit(j: &Json) -> Option<CycleAuditReport> {
-    let c = parse_u64_arr(j.get("counters")?)?;
     let [sms, audited_cycles, active, stalled_known, stalled_other, drained, skipped, tail] =
-        c.try_into().ok()?;
+        parse_u64_row(j.get("counters")?)?;
     let mut a = CycleAuditReport {
         sms,
         audited_cycles,
@@ -599,18 +604,18 @@ pub fn entry_doc(
     model: &str,
     r: &RunResult,
 ) -> Json {
-    let doc = |hash: &str| {
-        Json::obj()
-            .with("schema", Json::str(CELLCACHE_SCHEMA))
-            .with("version", Json::num_u64(CELLCACHE_SCHEMA_VERSION as u64))
-            .with("sim", sim.json())
-            .with("strategy", Json::str(strategy.label()))
-            .with("config", config_fingerprint_json(cfg))
-            .with("model", Json::str(model))
-            .with("contentHash", Json::str(hash))
-            .with("result", result_json(r))
-    };
-    doc(&content_hash(&doc("")))
+    let mut doc = Json::obj()
+        .with("schema", Json::label(CELLCACHE_SCHEMA))
+        .with("version", Json::num_u64(CELLCACHE_SCHEMA_VERSION as u64))
+        .with("sim", sim.json())
+        .with("strategy", Json::label(strategy.label()))
+        .with("config", config_fingerprint_json(cfg))
+        .with("model", Json::str(model))
+        .with("contentHash", Json::label(""))
+        .with("result", result_json(r));
+    let hash = content_hash(&doc);
+    *doc.get_mut("contentHash").expect("member set above") = Json::str(hash);
+    doc
 }
 
 /// The integrity hash of an entry: FNV-1a over the document's rendering
@@ -618,22 +623,8 @@ pub fn entry_doc(
 /// poisoned entry (edited counters, stale hash) is detectable without
 /// re-simulating.
 pub fn content_hash(doc: &Json) -> String {
-    let blanked = match doc {
-        Json::Obj(members) => Json::Obj(
-            members
-                .iter()
-                .map(|(k, v)| {
-                    if k == "contentHash" {
-                        (k.clone(), Json::str(""))
-                    } else {
-                        (k.clone(), v.clone())
-                    }
-                })
-                .collect(),
-        ),
-        other => other.clone(),
-    };
-    format!("{:016x}", fnv1a64(blanked.render().as_bytes()))
+    let blanked = doc.render_replacing("contentHash", &Json::label(""));
+    format!("{:016x}", fnv1a64(blanked.as_bytes()))
 }
 
 /// Structural + integrity validation of a parsed cache entry: the

@@ -1042,7 +1042,7 @@ mod tests {
         let Json::Obj(fields) = stalls[0] else {
             panic!("stall event is not an object");
         };
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_ref()).collect();
         assert_eq!(
             keys,
             [

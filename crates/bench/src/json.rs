@@ -14,7 +14,10 @@
 //! - The parser accepts any standard JSON document (it exists to
 //!   validate our own artifacts in CI, but is not limited to them);
 //!   numbers are kept as `f64`, matching how the manifests are written.
+//! - **Cheap to build** — keys and strings are `Cow<'static, str>`, so
+//!   a member named by a literal, or a fixed label, allocates nothing.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value tree.
@@ -27,11 +30,11 @@ pub enum Json {
     /// Any number (integers print without a decimal point).
     Num(f64),
     /// A string.
-    Str(String),
+    Str(Cow<'static, str>),
     /// An array.
     Arr(Vec<Json>),
     /// An object; member order is preserved (and rendered) as inserted.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'static, str>, Json)>),
 }
 
 impl Json {
@@ -42,16 +45,16 @@ impl Json {
 
     /// Appends a member to an object (panics on non-objects — a
     /// programming error in manifest construction).
-    pub fn set(&mut self, key: &str, value: Json) -> &mut Json {
+    pub fn set(&mut self, key: impl Into<Cow<'static, str>>, value: Json) -> &mut Json {
         match self {
-            Json::Obj(members) => members.push((key.to_string(), value)),
+            Json::Obj(members) => members.push((key.into(), value)),
             _ => panic!("Json::set on a non-object"),
         }
         self
     }
 
     /// Builder-style [`set`](Json::set).
-    pub fn with(mut self, key: &str, value: Json) -> Json {
+    pub fn with(mut self, key: impl Into<Cow<'static, str>>, value: Json) -> Json {
         self.set(key, value);
         self
     }
@@ -60,6 +63,14 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Mutable member lookup on objects (`None` on other variants).
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(members) => members.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -98,7 +109,13 @@ impl Json {
 
     /// Shorthand for a string value.
     pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
+        Json::Str(Cow::Owned(s.into()))
+    }
+
+    /// A fixed string value (a label, a schema id), borrowed rather
+    /// than copied.
+    pub fn label(s: &'static str) -> Json {
+        Json::Str(Cow::Borrowed(s))
     }
 
     /// Shorthand for a `u64` counter (exact below 2^53, like every
@@ -112,6 +129,22 @@ impl Json {
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    /// [`render`](Json::render) of this object with member `key`'s
+    /// value read as `value`: the bytes of the edited copy, without
+    /// making it. Other values render as themselves.
+    pub fn render_replacing(&self, key: &str, value: &Json) -> String {
+        let Json::Obj(members) = self else {
+            return self.render();
+        };
+        let mut out = String::new();
+        let members = members
+            .iter()
+            .map(|(k, v)| (k, if k == key { value } else { v }));
+        write_members(&mut out, members, 0);
         out.push('\n');
         out
     }
@@ -140,26 +173,7 @@ impl Json {
                 indent(out, depth);
                 out.push(']');
             }
-            Json::Obj(members) => {
-                if members.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
-            }
+            Json::Obj(members) => write_members(out, members.iter().map(|(k, v)| (k, v)), depth),
         }
     }
 
@@ -209,6 +223,8 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            items: Vec::new(),
+            members: Vec::new(),
         };
         p.skip_ws();
         let v = p.value()?;
@@ -218,6 +234,31 @@ impl Json {
         }
         Ok(v)
     }
+}
+
+fn write_members<'a>(
+    out: &mut String,
+    members: impl ExactSizeIterator<Item = (&'a Cow<'static, str>, &'a Json)>,
+    depth: usize,
+) {
+    if members.len() == 0 {
+        out.push_str("{}");
+        return;
+    }
+    out.push('{');
+    for (i, (k, v)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('\n');
+        indent(out, depth + 1);
+        write_str(out, k);
+        out.push_str(": ");
+        v.write(out, depth + 1);
+    }
+    out.push('\n');
+    indent(out, depth);
+    out.push('}');
 }
 
 fn indent(out: &mut String, depth: usize) {
@@ -233,14 +274,38 @@ fn write_num(out: &mut String, n: f64) {
         // encoding.
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 9e15 {
-        let _ = write!(out, "{}", n as i64);
+        write_int(out, n as i64);
     } else {
         let _ = write!(out, "{n}");
     }
 }
 
+/// `n` in decimal, as `{}` prints it, without the formatting machinery.
+fn write_int(out: &mut String, n: i64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    let mut m = n.unsigned_abs();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
+}
+
 fn write_str(out: &mut String, s: &str) {
     out.push('"');
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -277,6 +342,11 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Elements of the arrays being parsed, innermost last; each array
+    /// moves its own off the top in one exact-size allocation.
+    items: Vec<Json>,
+    /// The same for object members.
+    members: Vec<(Cow<'static, str>, Json)>,
 }
 
 impl<'a> Parser<'a> {
@@ -320,7 +390,7 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into())),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
@@ -331,21 +401,22 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
+        let base = self.items.len();
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(self.items.drain(base..).collect()));
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
@@ -354,12 +425,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
-        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(members));
+            return Ok(Json::Obj(Vec::new()));
         }
+        let base = self.members.len();
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -367,13 +438,13 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            members.push((key, value));
+            self.members.push((key.into(), value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(members));
+                    return Ok(Json::Obj(self.members.drain(base..).collect()));
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
@@ -382,6 +453,18 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
+        // Fast path: a string with nothing to unescape is one slice.
+        let rest = &self.bytes[self.pos..];
+        if let Some(len) = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        {
+            if rest[len] == b'"' {
+                let s = std::str::from_utf8(&rest[..len]).expect("utf8");
+                self.pos += len + 1;
+                return Ok(s.to_string());
+            }
+        }
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -469,6 +552,7 @@ impl<'a> Parser<'a> {
         if self.pos == digits_start {
             return Err(self.err("expected digits"));
         }
+        let digits_end = self.pos;
         if self.peek() == Some(b'.') {
             self.pos += 1;
             let frac_start = self.pos;
@@ -491,6 +575,13 @@ impl<'a> Parser<'a> {
             if self.pos == exp_start {
                 return Err(self.err("expected exponent digits"));
             }
+        }
+        // Fast path: up to 15 digits and no fraction or exponent is an
+        // integer that f64 holds exactly.
+        if self.pos == digits_end && digits_end - digits_start <= 15 {
+            let digits = &self.bytes[digits_start..digits_end];
+            let m = digits.iter().fold(0u64, |m, &d| m * 10 + (d - b'0') as u64) as f64;
+            return Ok(Json::Num(if digits_start > start { -m } else { m }));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf8 number");
         text.parse::<f64>()

@@ -58,6 +58,7 @@ use gvf_sim::{
     LayerTime, LineClass, LogHist, ObsReport, PcLoadStats, PoolTelemetry, StallCause, Stats,
 };
 use gvf_workloads::{AllocAttribSnapshot, AttribBundle, RunResult};
+use std::borrow::Cow;
 use std::io::{self, Write};
 
 /// Manifest schema identifier (see [`crate::schemas::RUN_MANIFEST`]).
@@ -96,7 +97,7 @@ pub const CYCLEAUDIT_TOP_SITES: usize = 16;
 #[derive(Clone, Debug)]
 pub struct CellRecord {
     /// Cell coordinates and per-cell extras, in display order.
-    pub meta: Vec<(String, Json)>,
+    pub meta: Vec<(&'static str, Json)>,
     /// The cell's raw counters.
     pub stats: Stats,
     /// The cell's mechanism-attribution bundle, when the run recorded
@@ -113,8 +114,8 @@ impl CellRecord {
     pub fn new(workload: &str, strategy: &str, stats: &Stats) -> Self {
         CellRecord {
             meta: vec![
-                ("workload".to_string(), Json::str(workload)),
-                ("strategy".to_string(), Json::str(strategy)),
+                ("workload", Json::str(workload)),
+                ("strategy", Json::str(strategy)),
             ],
             stats: stats.clone(),
             attrib: None,
@@ -132,8 +133,8 @@ impl CellRecord {
     }
 
     /// Appends an extra coordinate / measurement (builder style).
-    pub fn with(mut self, key: &str, value: Json) -> Self {
-        self.meta.push((key.to_string(), value));
+    pub fn with(mut self, key: &'static str, value: Json) -> Self {
+        self.meta.push((key, value));
         self
     }
 }
@@ -265,8 +266,8 @@ fn diff_paths(path: &str, a: &Json, b: &Json, out: &mut Vec<PathDiff>) {
             }
             // The same members in another order still render another
             // file, and the views must stay byte-identical.
-            let order = |m: &[(String, Json)]| -> Vec<Json> {
-                m.iter().map(|(k, _)| Json::str(k.as_str())).collect()
+            let order = |m: &[(Cow<'static, str>, Json)]| -> Vec<Json> {
+                m.iter().map(|(k, _)| Json::Str(k.clone())).collect()
             };
             let (order_a, order_b) = (order(members_a), order(members_b));
             if order_a != order_b
@@ -306,7 +307,7 @@ pub fn manifest(generator: &str, opts: &HarnessOpts, cells: &[CellRecord]) -> Js
         .iter()
         .map(|cell| {
             let mut rec = Json::obj();
-            for (k, v) in &cell.meta {
+            for &(k, ref v) in &cell.meta {
                 rec.set(k, v.clone());
             }
             rec.with("stats", stats_json(&cell.stats))
@@ -427,10 +428,18 @@ fn attrib_probe_json(r: &AttribReport) -> Json {
         .per_pc
         .iter()
         .map(|(&(pc, tag_idx), s)| {
-            let head = Json::obj()
-                .with("pc", Json::num_u64(pc as u64))
-                .with("tag", Json::str(tag_label(AccessTag::ALL[tag_idx])));
-            pc_load_fields(head, s)
+            // Built whole: one allocation per row.
+            Json::Obj(vec![
+                ("pc".into(), Json::num_u64(pc as u64)),
+                (
+                    "tag".into(),
+                    Json::label(tag_label(AccessTag::ALL[tag_idx])),
+                ),
+                ("instructions".into(), Json::num_u64(s.instructions)),
+                ("lanes".into(), Json::num_u64(s.lanes)),
+                ("transactions".into(), Json::num_u64(s.transactions)),
+                ("l1_hits".into(), Json::num_u64(s.l1_hits)),
+            ])
         })
         .collect();
     let mut by_tag = Json::obj();
@@ -551,7 +560,7 @@ pub fn attribution_doc(generator: &str, opts: &HarnessOpts, cells: &[CellRecord]
         .iter()
         .map(|cell| {
             let mut rec = Json::obj();
-            for (k, v) in &cell.meta {
+            for &(k, ref v) in &cell.meta {
                 rec.set(k, v.clone());
             }
             let mut loads = Json::obj();
@@ -601,7 +610,7 @@ fn audit_cell_json(a: &CycleAuditReport) -> Json {
                 .with("unknownCalls", Json::num_u64(s.unknown_calls))
                 .with("targets", Json::num_u64(s.targets.len() as u64))
                 .with("overflowed", Json::Bool(s.overflowed))
-                .with("class", Json::str(s.class().label()))
+                .with("class", Json::label(s.class().label()))
         })
         .collect();
     let (unknown, mono, few, mega) = a.site_class_counts();
@@ -632,7 +641,7 @@ pub fn cycleaudit_doc(generator: &str, opts: &HarnessOpts, cells: &[CellRecord])
         .iter()
         .map(|cell| {
             let mut rec = Json::obj();
-            for (k, v) in &cell.meta {
+            for &(k, ref v) in &cell.meta {
                 rec.set(k, v.clone());
             }
             rec.with("statsCycles", Json::num_u64(cell.stats.cycles))

@@ -21,7 +21,7 @@ fn arb_json(rng: &mut Rng, depth: usize) -> Json {
                 Json::Num(rng.range_u64(0, 1 << 20) as f64 / 64.0)
             }
         }
-        3 => Json::Str(arb_string(rng)),
+        3 => Json::str(arb_string(rng)),
         4 => {
             let n = rng.range_usize(0, 5);
             Json::Arr((0..n).map(|_| arb_json(rng, depth - 1)).collect())
@@ -31,7 +31,7 @@ fn arb_json(rng: &mut Rng, depth: usize) -> Json {
             let mut obj = Json::obj();
             for i in 0..n {
                 obj.set(
-                    &format!("k{i}_{}", arb_string(rng)),
+                    format!("k{i}_{}", arb_string(rng)),
                     arb_json(rng, depth - 1),
                 );
             }
@@ -66,7 +66,7 @@ fn render_parse_round_trip() {
 fn escapes_survive_round_trip() {
     props!(64, |rng| {
         let s = arb_string(rng);
-        let doc = Json::Str(s.clone());
+        let doc = Json::str(s.clone());
         let back = Json::parse(&doc.render()).expect("escaped string must parse");
         assert_eq!(back, doc, "string {s:?} did not survive");
     });

@@ -30,7 +30,9 @@
 use crate::cache::SectoredCache;
 use crate::instr::AccessTag;
 use crate::probe::Probe;
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Number of buckets in a [`LogHist`]: one for zero, one per power of
 /// two up to `2^32`, and one overflow bucket for everything larger.
@@ -297,42 +299,215 @@ impl AttribReport {
     }
 }
 
+/// Marks an empty slot of a [`PcIndex`] and the end of a row chain.
+const NO_ROW: u32 = u32::MAX;
+
+/// Trace position -> a collector's row for it: a dense array as long
+/// as the largest `pc` seen, so finding a row costs an index rather
+/// than an ordered-map search. The rows themselves live in the
+/// collector, in first-touch order, so the table grows with the rows
+/// actually touched.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PcIndex(Vec<u32>);
+
+impl PcIndex {
+    /// `pc`'s row, or [`NO_ROW`].
+    #[inline]
+    pub(crate) fn get(&self, pc: usize) -> u32 {
+        self.0.get(pc).copied().unwrap_or(NO_ROW)
+    }
+
+    /// Points `pc` at `row`.
+    pub(crate) fn set(&mut self, pc: usize, row: usize) {
+        if pc >= self.0.len() {
+            self.0.resize(pc + 1, NO_ROW);
+        }
+        self.0[pc] = row as u32;
+    }
+
+    /// `pc`'s row in `rows`, pushing `make()` as a new row on the
+    /// first touch.
+    #[inline]
+    pub(crate) fn row<'a, T>(
+        &mut self,
+        rows: &'a mut Vec<T>,
+        pc: usize,
+        make: impl FnOnce() -> T,
+    ) -> &'a mut T {
+        let mut i = self.get(pc);
+        if i == NO_ROW {
+            i = rows.len() as u32;
+            rows.push(make());
+            self.set(pc, i as usize);
+        }
+        &mut rows[i as usize]
+    }
+}
+
+/// One `(trace position, tag)` row of an [`AttributionProbe`]. A
+/// position almost always carries one tag; further tags chain through
+/// `next`.
+#[derive(Clone, Copy, Debug)]
+struct PcRow {
+    pc: usize,
+    tag: usize,
+    next: u32,
+    stats: PcLoadStats,
+}
+
+/// One L1 set as the probe sees it.
+#[derive(Clone, Copy, Debug, Default)]
+struct SetCounts {
+    accesses: u64,
+    hits: u64,
+}
+
+/// A multiplicative hasher for line addresses: one 64×64→128-bit
+/// multiply, folded. The keys come from the simulator, so SipHash's
+/// flooding resistance buys nothing here.
+#[derive(Clone, Copy, Debug, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let p = ((self.0 ^ n) as u128).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = (p >> 64) as u64 ^ p as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Line address -> index of the last sector access that touched it.
+type LineMap = HashMap<u64, u64, BuildHasherDefault<LineHasher>>;
+
+thread_local! {
+    /// Lines the last probe folded on this thread had touched: the next
+    /// probe's line map starts at that size instead of regrowing from
+    /// empty on every launch.
+    static LINES_HINT: Cell<usize> = const { Cell::new(0) };
+}
+
 /// Per-SM probe accumulating the evidence of an [`AttribReport`].
 ///
-/// Costs a handful of counter updates per load instruction and a hash
-/// lookup per sector — cheap enough to enable on every grid cell, and,
-/// like every probe, invisible to timing: [`crate::Stats`] and stdout
-/// are byte-identical with or without it.
-#[derive(Clone, Debug, Default)]
+/// Per load instruction it bumps a row found by indexing a dense
+/// per-`pc` table; per sector, the same row (remembered from the load),
+/// its set's counters, and the line's last touch. A load's sectors
+/// arrive line by line, so a sector of the line the previous one
+/// touched reads its last touch from the probe's own fields; only a
+/// change of line reaches the line map, whose hash is one multiply.
+/// Nothing is ordered until the probe is folded into a report
+/// ([`merge_into`](Self::merge_into)). Like every probe, it is
+/// invisible to timing: [`crate::Stats`] and stdout are byte-identical
+/// with or without it.
+#[derive(Clone, Debug)]
 pub struct AttributionProbe {
-    report: AttribReport,
-    /// Line address -> index of the last sector access that touched it
-    /// (for reuse intervals, measured in sector accesses on this SM).
-    last_touch: HashMap<u64, u64>,
+    /// Touched `(pc, tag)` rows, in first-touch order.
+    rows: Vec<PcRow>,
+    /// `pc` -> its first row in `rows`.
+    by_pc: PcIndex,
+    /// The row of the last `load_coalesced`, which its sectors follow.
+    cur: u32,
+    /// Per-L1-set counters, grown to the highest set touched.
+    sets: Vec<SetCounts>,
+    /// Last touch of every line touched in the launch but the one in
+    /// `last`.
+    last_touch: LineMap,
+    /// The line the previous sector touched and that sector's access
+    /// index; its entry in `last_touch` is stale until the line changes.
+    last: Option<(u64, u64)>,
+    /// Sector accesses so far on this SM (the reuse clock).
     accesses: u64,
+    reuse: [LogHist; LINE_CLASSES],
+    cold_lines: [u64; LINE_CLASSES],
+    final_set_sectors: Vec<u64>,
+}
+
+impl Default for AttributionProbe {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl AttributionProbe {
     /// A fresh probe for one SM.
     pub fn new() -> Self {
+        let lines = LINES_HINT.with(Cell::get);
         AttributionProbe {
-            report: AttribReport {
-                sms: 1,
-                ..AttribReport::default()
-            },
-            last_touch: HashMap::new(),
+            rows: Vec::new(),
+            by_pc: PcIndex::default(),
+            cur: NO_ROW,
+            sets: Vec::new(),
+            last_touch: LineMap::with_capacity_and_hasher(lines, Default::default()),
+            last: None,
             accesses: 0,
+            reuse: [LogHist::new(); LINE_CLASSES],
+            cold_lines: [0; LINE_CLASSES],
+            final_set_sectors: Vec::new(),
         }
     }
 
-    /// The evidence recorded so far.
-    pub fn report(&self) -> &AttribReport {
-        &self.report
+    /// The index of the `(pc, tag)` row, created on first touch.
+    #[inline]
+    fn row(&mut self, pc: usize, tag: usize) -> u32 {
+        let mut i = self.by_pc.get(pc);
+        while i != NO_ROW && self.rows[i as usize].tag != tag {
+            i = self.rows[i as usize].next;
+        }
+        if i == NO_ROW {
+            i = self.rows.len() as u32;
+            self.rows.push(PcRow {
+                pc,
+                tag,
+                next: self.by_pc.get(pc),
+                stats: PcLoadStats::default(),
+            });
+            self.by_pc.set(pc, i as usize);
+        }
+        i
+    }
+
+    /// Folds this SM's evidence into `report` (one per-SM report's
+    /// worth of [`AttribReport::merge`]).
+    pub fn merge_into(self, report: &mut AttribReport) {
+        // Sizes the next probe's line map on this thread.
+        LINES_HINT.with(|h| h.set(self.last_touch.len() + 1));
+        for r in &self.rows {
+            report
+                .per_pc
+                .entry((r.pc, r.tag))
+                .or_default()
+                .merge(&r.stats);
+        }
+        for (i, s) in self.sets.iter().enumerate() {
+            add_at(&mut report.set_accesses, i, s.accesses);
+            add_at(&mut report.set_hits, i, s.hits);
+        }
+        for (i, &s) in self.final_set_sectors.iter().enumerate() {
+            add_at(&mut report.final_set_sectors, i, s);
+        }
+        for (d, s) in report.reuse.iter_mut().zip(self.reuse.iter()) {
+            d.merge(s);
+        }
+        for (d, s) in report.cold_lines.iter_mut().zip(self.cold_lines) {
+            *d += s;
+        }
+        report.sms += 1;
     }
 
     /// Consumes the probe, returning its report.
     pub fn into_report(self) -> AttribReport {
-        self.report
+        let mut report = AttribReport::default();
+        self.merge_into(&mut report);
+        report
     }
 }
 
@@ -345,7 +520,8 @@ impl Probe for AttributionProbe {
         lanes: u64,
         _sectors: u64,
     ) {
-        let e = self.report.per_pc.entry((pc, tag.index())).or_default();
+        self.cur = self.row(pc, tag.index());
+        let e = &mut self.rows[self.cur as usize].stats;
         e.instructions += 1;
         e.lanes += lanes;
     }
@@ -359,23 +535,43 @@ impl Probe for AttributionProbe {
         set: usize,
         hit: bool,
     ) {
-        let e = self.report.per_pc.entry((pc, tag.index())).or_default();
+        let tag_idx = tag.index();
+        let cur = self.rows.get(self.cur as usize);
+        if !cur.is_some_and(|r| r.pc == pc && r.tag == tag_idx) {
+            self.cur = self.row(pc, tag_idx);
+        }
+        let e = &mut self.rows[self.cur as usize].stats;
         e.transactions += 1;
         e.l1_hits += hit as u64;
-        add_at(&mut self.report.set_accesses, set, 1);
-        add_at(&mut self.report.set_hits, set, hit as u64);
-        let class = LineClass::of(tag).index();
-        match self.last_touch.insert(line_addr, self.accesses) {
-            Some(prev) => self.report.reuse[class].record(self.accesses - prev),
-            None => self.report.cold_lines[class] += 1,
+        if set >= self.sets.len() {
+            self.sets.resize(set + 1, SetCounts::default());
         }
+        let s = &mut self.sets[set];
+        s.accesses += 1;
+        s.hits += hit as u64;
+        let now = self.accesses;
         self.accesses += 1;
+        let prev = match self.last {
+            Some((line, at)) if line == line_addr => Some(at),
+            last => {
+                if let Some((line, at)) = last {
+                    self.last_touch.insert(line, at);
+                }
+                self.last_touch.get(&line_addr).copied()
+            }
+        };
+        self.last = Some((line_addr, now));
+        let class = LineClass::of(tag).index();
+        match prev {
+            Some(prev) => self.reuse[class].record(now - prev),
+            None => self.cold_lines[class] += 1,
+        }
     }
 
     fn cache_final(&mut self, l1: &SectoredCache) {
         let occ = l1.per_set_valid_sectors();
         for (i, &s) in occ.iter().enumerate() {
-            add_at(&mut self.report.final_set_sectors, i, s as u64);
+            add_at(&mut self.final_set_sectors, i, s as u64);
         }
     }
 }
@@ -433,7 +629,7 @@ mod tests {
         p.l1_sector(0, 7, AccessTag::VtablePtr, 0x100, 2, false);
         p.l1_sector(0, 7, AccessTag::VtablePtr, 0x100, 2, true);
         p.l1_sector(1, 9, AccessTag::Field, 0x200, 4, false);
-        let r = p.report();
+        let r = p.into_report();
         let vt = r.per_pc[&(7, AccessTag::VtablePtr.index())];
         assert_eq!(vt.instructions, 1);
         assert_eq!(vt.lanes, 32);
@@ -477,7 +673,7 @@ mod tests {
         l1.access(0x80);
         let mut p = AttributionProbe::new();
         p.cache_final(&l1);
-        let r = p.report();
+        let r = p.into_report();
         assert_eq!(r.final_set_sectors[0], 2);
         assert_eq!(r.final_set_sectors[1], 1);
     }

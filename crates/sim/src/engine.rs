@@ -939,6 +939,9 @@ fn issue_load_phase_a<P: Probe>(
                 } else {
                     (k + 1, 0)
                 };
+                // A group is one line: its set and line address are the
+                // same for all its sectors (and unused without a probe).
+                let (set, line_addr) = sm.l1.set_of(sm.scratch[k] * cfg.sector_bytes);
                 for i in k..group_end {
                     let s = sm.scratch[i];
                     let addr = s * cfg.sector_bytes;
@@ -951,7 +954,6 @@ fn issue_load_phase_a<P: Probe>(
                         sm.l1.access(addr).is_hit()
                     };
                     sm.probe.l1_access(cycle, m.tag, hit);
-                    let (set, line_addr) = sm.l1.set_of(addr);
                     sm.probe.l1_sector(cycle, pc, m.tag, line_addr, set, hit);
                     if hit {
                         known_done = known_done.max(t1 + cfg.l1_latency);

@@ -32,7 +32,7 @@
 //! run can record a timeline and a metrics series at once without a
 //! bespoke combined type.
 
-use crate::attrib::{AttribReport, AttributionProbe, LogHist};
+use crate::attrib::{AttribReport, AttributionProbe, LogHist, PcIndex};
 use crate::cache::SectoredCache;
 use crate::instr::{AccessTag, Op, UNKNOWN_CALL_TARGET};
 use crate::stats::{Stats, STALL_INDIRECT_CALL};
@@ -877,32 +877,25 @@ impl CycleAuditReport {
 /// deferred by one epoch: [`Probe::epoch`] at `c_{i+1}` commits epoch
 /// `i`'s class and the skipped gap, and the kernel's trailing epoch is
 /// folded into the report tail by `ObsReport::absorb`, which knows the
-/// kernel's final cycle count.
+/// kernel's final cycle count. Call sites are found by indexing a
+/// dense per-`pc` table.
 #[derive(Clone, Debug, Default)]
 pub struct CycleAuditProbe {
     pending: Option<(u64, EpochClass)>,
-    active: u64,
-    stalled_known: u64,
-    stalled_other: u64,
-    drained: u64,
+    /// Committed epochs per [`EpochClass`], in declaration order.
+    classes: [u64; 4],
     skipped: u64,
     gap_hist: LogHist,
-    sites: BTreeMap<usize, CallSiteStats>,
+    /// `pc` -> its row in `sites`.
+    site_of: PcIndex,
+    /// Touched call sites, in first-touch order.
+    sites: Vec<(usize, CallSiteStats)>,
 }
 
 impl CycleAuditProbe {
     /// A fresh, zeroed audit collector.
     pub fn new() -> Self {
         CycleAuditProbe::default()
-    }
-
-    fn commit(&mut self, class: EpochClass) {
-        match class {
-            EpochClass::Active => self.active += 1,
-            EpochClass::StalledKnown => self.stalled_known += 1,
-            EpochClass::StalledOther => self.stalled_other += 1,
-            EpochClass::Drained => self.drained += 1,
-        }
     }
 
     /// Folds this SM's audit into `report`, closing the books at
@@ -914,10 +907,11 @@ impl CycleAuditProbe {
             Some((last_cycle, _)) => kernel_cycles.saturating_sub(last_cycle),
             None => kernel_cycles,
         };
-        report.active += self.active;
-        report.stalled_known += self.stalled_known;
-        report.stalled_other += self.stalled_other;
-        report.drained += self.drained;
+        let [active, stalled_known, stalled_other, drained] = self.classes;
+        report.active += active;
+        report.stalled_known += stalled_known;
+        report.stalled_other += stalled_other;
+        report.drained += drained;
         report.skipped += self.skipped;
         report.tail += tail;
         report.gap_hist.merge(&self.gap_hist);
@@ -930,7 +924,7 @@ impl CycleAuditProbe {
 impl Probe for CycleAuditProbe {
     fn epoch(&mut self, cycle: u64) {
         if let Some((prev, class)) = self.pending.take() {
-            self.commit(class);
+            self.classes[class as usize] += 1;
             self.skipped += cycle.saturating_sub(prev + 1);
         }
     }
@@ -951,7 +945,10 @@ impl Probe for CycleAuditProbe {
 
     fn issue(&mut self, _cycle: u64, _warp: usize, pc: usize, op: &Op) {
         if let Op::IndirectCall { target } = op {
-            self.sites.entry(pc).or_default().observe(*target);
+            let (_, site) = self
+                .site_of
+                .row(&mut self.sites, pc, || (pc, CallSiteStats::default()));
+            site.observe(*target);
         }
     }
 }
@@ -1059,10 +1056,7 @@ impl ObsReport {
                 }
             }
             if let Some(a) = attrib {
-                match &mut self.attribution {
-                    Some(acc) => acc.merge(a.report()),
-                    None => self.attribution = Some(a.into_report()),
-                }
+                a.merge_into(self.attribution.get_or_insert_with(AttribReport::default));
             }
             if let Some(a) = audit {
                 let acc = self.audit.get_or_insert_with(CycleAuditReport::default);

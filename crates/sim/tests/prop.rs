@@ -464,7 +464,7 @@ fn fast_forward_matches_tick_reference() {
         assert_eq!(stats, s2, "attribution probe perturbed Stats");
         let mut attrib = AttribReport::default();
         for p in aprobes {
-            attrib.merge(p.report());
+            p.merge_into(&mut attrib);
         }
         let audit = audit_of(gpu, kernel, &stats);
         (stats, attrib, audit)
